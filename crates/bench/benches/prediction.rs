@@ -2,6 +2,7 @@
 //! inference, plus the baseline detectors.
 use criterion::{criterion_group, criterion_main, Criterion};
 use dds_core::categorize::{CategorizationConfig, Categorizer};
+use dds_core::columnar::FleetColumns;
 use dds_core::degradation::DegradationAnalyzer;
 use dds_core::features::FailureRecordSet;
 use dds_core::knn::KnnRegressor;
@@ -19,8 +20,9 @@ fn bench_prediction(c: &mut Criterion) {
     let cat = Categorizer::new(CategorizationConfig { run_svc: false, ..Default::default() })
         .categorize(&dataset, &records)
         .unwrap();
+    let columns = FleetColumns::build(&dataset, Parallelism::Sequential);
     let degradation =
-        DegradationAnalyzer::default().analyze_groups(&dataset, &records, &cat).unwrap();
+        DegradationAnalyzer::default().analyze_groups_columns(&columns, &records, &cat).unwrap();
 
     let mut group = c.benchmark_group("prediction");
     group.sample_size(10);
@@ -33,13 +35,14 @@ fn bench_prediction(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     DegradationPredictor::new(config.clone())
-                        .train(&dataset, &cat, &degradation)
+                        .train_with_columns(&columns, &cat, &degradation)
                         .unwrap(),
                 )
             })
         });
     }
-    let report = DegradationPredictor::default().train(&dataset, &cat, &degradation).unwrap();
+    let report =
+        DegradationPredictor::default().train_with_columns(&columns, &cat, &degradation).unwrap();
     let record = dataset
         .normalize_record(dataset.failed_drives().next().unwrap().records().last().unwrap())
         .to_vec();
@@ -52,8 +55,9 @@ fn bench_prediction(c: &mut Criterion) {
     for (mode_label, mode) in [("seq", Parallelism::Sequential), ("par", Parallelism::Auto)] {
         let mut config = dds_core::predict::PredictionConfig::default();
         config.tree.parallelism = mode;
-        let trained =
-            DegradationPredictor::new(config).train(&dataset, &cat, &degradation).unwrap();
+        let trained = DegradationPredictor::new(config)
+            .train_with_columns(&columns, &cat, &degradation)
+            .unwrap();
         group.bench_function(&format!("tree_batch_inference_8k/{mode_label}"), |b| {
             b.iter(|| black_box(trained.groups[0].tree.predict_batch_ref(&batch)))
         });

@@ -1,22 +1,18 @@
-//! Micro-benchmarks of the columnar hot kernels, old (AoS) path against
-//! new (SoA) path where both still exist:
+//! Micro-benchmarks of the columnar (SoA) hot kernels:
 //!
-//! - `window_distance`: the per-drive distance-to-failure curve —
-//!   `DegradationAnalyzer::analyze_drive` (record structs) vs
-//!   `analyze_drive_columns` (contiguous attribute columns).
+//! - `columns_build`: transposing the fleet into attribute columns.
+//! - `window_distance`: the per-drive distance-to-failure curve and
+//!   window extraction — `DegradationAnalyzer::analyze_drive_columns`.
 //! - `split_scan`: regression-tree training on one assembled sample set —
-//!   `RegressionTree::fit` (per-node re-sorts) vs `fit_columns` (presorted
-//!   column indices + stable partition).
-//! - `zscore_sweep`: the full 12-attribute temporal z-score sweep —
-//!   per-record struct walks vs column slices with hoisted reference
-//!   moments.
-//! - `kmeans_assign`: `KMeans::fit` over the fleet's normalized records —
-//!   single row; the cache-blocked columnar assignment *is* the
-//!   implementation since the rewrite.
+//!   `RegressionTree::fit_columns` (presorted column indices + stable
+//!   partition).
+//! - `zscore_sweep`: the full 12-attribute temporal z-score sweep over
+//!   column slices with hoisted reference moments.
+//! - `kmeans_assign`: `KMeans::fit` over the fleet's normalized records.
 //!
-//! Both variants of every kernel return bit-identical results (asserted
-//! here where cheap, proven by `tests/columnar.rs`), so the rows measure
-//! pure layout effects.
+//! Every kernel has one implementation; the row-major entry points are
+//! adapters that transpose into it, so there is no second layout to time.
+//! Historical AoS-vs-SoA rows stay in `BENCH_parallel.json`.
 //!
 //! Usage: `cargo run --release -p dds-bench --bin bench_kernels
 //! [--test-scale | --paper-scale] [--out PATH]`
@@ -27,7 +23,7 @@ use dds_core::categorize::CategorizationConfig;
 use dds_core::columnar::FleetColumns;
 use dds_core::degradation::DegradationAnalyzer;
 use dds_core::features::FailureRecordSet;
-use dds_core::zscore::{all_attribute_z_scores_columns, all_attribute_z_scores_with, ZScoreConfig};
+use dds_core::zscore::{all_attribute_z_scores_columns, ZScoreConfig};
 use dds_regtree::{RegressionTree, TreeConfig};
 use dds_smartsim::FleetSimulator;
 use dds_stats::par::Parallelism;
@@ -81,39 +77,22 @@ fn main() {
     // --- window_distance kernel -------------------------------------------
     let analyzer = DegradationAnalyzer::default();
     let failed: Vec<_> = dataset.failed_drives().collect();
-    let mut aos_windows = 0usize;
-    rows.push(Row {
-        kernel: "window_distance",
-        layout: "aos",
-        wall_ms: time_ms(|| {
-            for drive in &failed {
-                aos_windows +=
-                    analyzer.analyze_drive(&dataset, drive).expect("aos analysis").window_hours;
-            }
-        }),
-        items: failed.len(),
-    });
-    let mut soa_windows = 0usize;
     rows.push(Row {
         kernel: "window_distance",
         layout: "soa",
         wall_ms: time_ms(|| {
             for drive in &failed {
                 let pos = columns.position(drive.id()).expect("failed drive in columns");
-                soa_windows += analyzer
-                    .analyze_drive_columns(&columns, pos)
-                    .expect("soa analysis")
-                    .window_hours;
+                analyzer.analyze_drive_columns(&columns, pos).expect("soa analysis");
             }
         }),
         items: failed.len(),
     });
-    assert_eq!(aos_windows, soa_windows, "layouts must extract identical windows");
 
     // --- split_scan kernel -------------------------------------------------
     // One realistic training matrix: every failed record, labeled by its
     // distance from the failure hour (a smooth target the tree can split
-    // on), so both fits chew through the same feature distribution the
+    // on), so the fit chews through the same feature distribution the
     // pipeline's predictors see.
     let mut xs: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
@@ -125,39 +104,18 @@ fn main() {
         }
     }
     let tree_config = TreeConfig::default().with_parallelism(par);
-    let mut aos_tree = None;
-    rows.push(Row {
-        kernel: "split_scan",
-        layout: "aos",
-        wall_ms: time_ms(|| {
-            aos_tree = Some(RegressionTree::fit(&xs, &ys, &tree_config).expect("aos fit"));
-        }),
-        items: xs.len(),
-    });
     let matrix = dds_stats::ColMatrix::from_rows(&xs).expect("matrix");
-    let mut soa_tree = None;
     rows.push(Row {
         kernel: "split_scan",
         layout: "soa",
         wall_ms: time_ms(|| {
-            soa_tree =
-                Some(RegressionTree::fit_columns(&matrix, &ys, &tree_config).expect("soa fit"));
+            RegressionTree::fit_columns(&matrix, &ys, &tree_config).expect("soa fit");
         }),
         items: xs.len(),
     });
-    assert_eq!(aos_tree, soa_tree, "layouts must grow identical trees");
 
     // --- zscore_sweep kernel -----------------------------------------------
     let zconfig = ZScoreConfig::default();
-    rows.push(Row {
-        kernel: "zscore_sweep",
-        layout: "aos",
-        wall_ms: time_ms(|| {
-            all_attribute_z_scores_with(&dataset, &records, &categorization, &zconfig, par)
-                .expect("aos sweep");
-        }),
-        items: 12,
-    });
     rows.push(Row {
         kernel: "zscore_sweep",
         layout: "soa",

@@ -2,9 +2,11 @@
 //! forecasting — the paper's regression tree vs a k-NN regressor — on the
 //! same per-group sample sets and splits.
 use dds_bench::{run_standard, section, Scale};
+use dds_core::columnar::FleetColumns;
 use dds_core::knn::KnnRegressor;
 use dds_core::predict::{DegradationPredictor, PredictionConfig};
 use dds_regtree::RegressionTree;
+use dds_stats::par::Parallelism;
 use dds_stats::rmse;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -15,6 +17,7 @@ fn main() {
     section("Extension — prediction-method comparison (regression tree vs k-NN)");
     let config = PredictionConfig::default();
     let predictor = DegradationPredictor::new(config.clone());
+    let columns = FleetColumns::build(&dataset, Parallelism::Sequential);
     let mut rng = StdRng::seed_from_u64(config.seed);
     println!(
         "  {:<8} {:>12} {:>12} {:>12} {:>10}",
@@ -24,7 +27,7 @@ fn main() {
         let summary = &report.degradation[group.index];
         let signature = report.prediction.groups[group.index].signature;
         let (xs, ys) =
-            predictor.assemble_samples(&dataset, group, &signature, &mut rng).expect("samples");
+            predictor.assemble_samples(&columns, group, &signature, &mut rng).expect("samples");
         let _ = summary;
         // Same 70/30 split for every method.
         let mut order: Vec<usize> = (0..xs.len()).collect();

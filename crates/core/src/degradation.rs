@@ -16,6 +16,7 @@ use crate::columnar::FleetColumns;
 use crate::error::AnalysisError;
 use crate::features::FailureRecordSet;
 use dds_smartsim::{Dataset, DriveId, DriveProfile, NUM_ATTRIBUTES};
+use dds_stats::par::Parallelism;
 use dds_stats::timeseries::moving_average;
 use dds_stats::{euclidean, PolynomialFit, SignatureForm, SignatureModel};
 
@@ -341,7 +342,9 @@ impl DegradationAnalyzer {
     }
 
     /// Analyzes every group of a categorization, producing per-group
-    /// signature summaries.
+    /// signature summaries: a thin adapter that transposes `dataset` into
+    /// [`FleetColumns`] and runs
+    /// [`analyze_groups_columns`](Self::analyze_groups_columns).
     ///
     /// # Errors
     ///
@@ -353,67 +356,15 @@ impl DegradationAnalyzer {
         records: &FailureRecordSet,
         categorization: &Categorization,
     ) -> Result<Vec<GroupDegradation>, AnalysisError> {
-        let mut result = Vec::with_capacity(categorization.num_groups());
-        for group in categorization.groups() {
-            let mut windows = Vec::with_capacity(group.size());
-            let mut votes: Vec<(SignatureForm, usize)> =
-                SignatureForm::ALL.iter().map(|&f| (f, 0)).collect();
-            let mut rmse_sums: Vec<(SignatureForm, f64)> =
-                SignatureForm::ALL.iter().map(|&f| (f, 0.0)).collect();
-            let mut centroid: Option<DriveDegradation> = None;
-            let mut analyzed = 0usize;
-            for &id in &group.drive_ids {
-                let drive = dataset.drive(id).expect("group drives exist in dataset");
-                let analysis = self.analyze_drive(dataset, drive)?;
-                windows.push(analysis.window_hours);
-                analyzed += 1;
-                for (form, count) in &mut votes {
-                    if *form == analysis.best_model.form() {
-                        *count += 1;
-                    }
-                }
-                for ((_, sum), (_, rmse)) in rmse_sums.iter_mut().zip(&analysis.model_rmse) {
-                    *sum += rmse;
-                }
-                if id == group.centroid_drive {
-                    centroid = Some(analysis);
-                }
-            }
-            let centroid = centroid.ok_or_else(|| {
-                AnalysisError::UnsuitableDataset(format!(
-                    "group {} centroid drive missing from dataset",
-                    group.index + 1
-                ))
-            })?;
-            let mean_rmse_by_form: Vec<(SignatureForm, f64)> =
-                rmse_sums.into_iter().map(|(f, sum)| (f, sum / analyzed.max(1) as f64)).collect();
-            let dominant_form = votes
-                .iter()
-                .max_by_key(|(_, count)| *count)
-                .map(|&(f, _)| f)
-                .expect("votes non-empty");
-            let min = windows.iter().copied().min().unwrap_or(0);
-            let max = windows.iter().copied().max().unwrap_or(0);
-            let mean = windows.iter().sum::<usize>() as f64 / windows.len().max(1) as f64;
-            result.push(GroupDegradation {
-                group_index: group.index,
-                window_stats: (min, mean, max),
-                dominant_form,
-                form_votes: votes,
-                mean_rmse_by_form,
-                centroid,
-                windows,
-            });
-        }
-        let _ = records;
-        Ok(result)
+        let columns = FleetColumns::build(dataset, Parallelism::Sequential);
+        self.analyze_groups_columns(&columns, records, categorization)
     }
 
-    /// [`analyze_groups`](Self::analyze_groups) against column-major fleet
-    /// storage: drives resolve through the O(1) position map instead of
-    /// `Dataset::drive`'s linear scan, and each drive's distance curve is
-    /// the cache-blocked columnar kernel. Bit-identical to the row-based
-    /// path.
+    /// Analyzes every group of a categorization against column-major fleet
+    /// storage, producing per-group signature summaries: drives resolve
+    /// through the O(1) position map and each drive's distance curve is the
+    /// cache-blocked columnar kernel
+    /// ([`analyze_drive_columns`](Self::analyze_drive_columns)).
     ///
     /// # Errors
     ///

@@ -176,14 +176,13 @@ impl Analysis {
         prior: &TrainedModel,
     ) -> Result<(AnalysisReport, WarmPredictStats), AnalysisError> {
         self.run_impl(dataset, Some(prior))
-            .map(|(report, stats)| (report, stats.unwrap_or_default()))
     }
 
     fn run_impl(
         &self,
         dataset: &Dataset,
         prior: Option<&TrainedModel>,
-    ) -> Result<(AnalysisReport, Option<WarmPredictStats>), AnalysisError> {
+    ) -> Result<(AnalysisReport, WarmPredictStats), AnalysisError> {
         let _run_span = dds_obs::span!(
             Level::Info,
             "pipeline.run",
@@ -344,18 +343,13 @@ impl Analysis {
         let mut prediction_config = self.config.prediction.clone();
         prediction_config.tree.parallelism = par;
         let (prediction, warm_stats) =
-            stage("pipeline.predict", "dds_pipeline_predict_seconds", || match prior {
-                Some(prior_model) => DegradationPredictor::new(prediction_config)
-                    .train_with_columns_warm(
-                        &columns,
-                        &categorization,
-                        &degradation,
-                        prior_model,
-                    )
-                    .map(|(report, stats)| (report, Some(stats))),
-                None => DegradationPredictor::new(prediction_config)
-                    .train_with_columns(&columns, &categorization, &degradation)
-                    .map(|report| (report, None)),
+            stage("pipeline.predict", "dds_pipeline_predict_seconds", || {
+                DegradationPredictor::new(prediction_config).train_groups(
+                    &columns,
+                    &categorization,
+                    &degradation,
+                    prior,
+                )
             })?;
 
         Ok((

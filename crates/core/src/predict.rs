@@ -13,14 +13,14 @@
 //! conservative vendor threshold test (3–10% FDR at ~0.1% FAR in the
 //! paper's telling) and the Wilcoxon rank-sum detector of Hughes et al.
 
-use crate::categorize::Categorization;
+use crate::categorize::{Categorization, FailureGroup};
 use crate::columnar::FleetColumns;
 use crate::degradation::GroupDegradation;
 use crate::error::AnalysisError;
+use crate::model::TrainedModel;
 use dds_regtree::{FitScratch, RegressionTree, TreeConfig};
 use dds_smartsim::{Attribute, Dataset, NUM_ATTRIBUTES};
 use dds_stats::hypothesis::rank_sum_test;
-use dds_stats::par::par_map_indexed;
 use dds_stats::{rmse, ColMatrix, SignatureModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,18 +67,14 @@ impl Default for PredictionConfig {
 /// to eat that headroom without a matching latency win.
 pub const WARM_GOOD_TRAIN_RATIO: f64 = 1.5;
 
-/// Byproducts of [`DegradationPredictor::train_with_columns_warm`]: the
-/// live RMSE sample for the drift channel and the train-thinning tallies.
+/// Byproduct of [`DegradationPredictor::train_with_columns_warm`]: the
+/// live RMSE sample for the drift channel.
 #[derive(Debug, Clone, Default)]
 pub struct WarmPredictStats {
     /// Mean RMSE of the *prior* model's trees over the warm test splits
     /// (the live half of the RMSE drift comparison); `None` when no prior
     /// group index matched the window's groups.
     pub live_rmse: Option<f64>,
-    /// Train rows kept across groups after good-row thinning.
-    pub train_rows_kept: usize,
-    /// Good train rows dropped across groups by the thinning.
-    pub train_rows_thinned: usize,
 }
 
 /// Trained predictor and its Table III accuracy for one group.
@@ -137,85 +133,10 @@ impl DegradationPredictor {
         DegradationPredictor { config }
     }
 
-    /// Trains and evaluates a predictor for every group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidConfig`] for out-of-range fractions
-    /// and [`AnalysisError::UnsuitableDataset`] when a group has no usable
-    /// samples; propagates tree-training errors.
-    pub fn train(
-        &self,
-        dataset: &Dataset,
-        categorization: &Categorization,
-        degradation: &[GroupDegradation],
-    ) -> Result<PredictionReport, AnalysisError> {
-        self.validate_config()?;
-        let _span = dds_obs::span!(
-            dds_obs::Level::Debug,
-            "predict.train",
-            groups = categorization.num_groups(),
-            train_fraction = self.config.train_fraction,
-        );
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-
-        // The good-record pool is group-independent, and at paper scale it
-        // dwarfs every failed group — build it once (fanning the per-drive
-        // normalization out across threads; drive and record order are
-        // preserved) instead of rescanning the good population per group.
-        let good_drives: Vec<&dds_smartsim::DriveProfile> = dataset.good_drives().collect();
-        let good_pool: Vec<[f64; NUM_ATTRIBUTES]> =
-            par_map_indexed(self.config.tree.parallelism, &good_drives, |_, drive| {
-                drive.records().iter().map(|r| dataset.normalize_record(r)).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .filter(|row| row.iter().all(|v| v.is_finite()))
-            .collect();
-
-        let mut groups = Vec::with_capacity(categorization.num_groups());
-        for group in categorization.groups() {
-            let signature = self.group_signature(group, degradation)?;
-            let (xs, ys) =
-                self.assemble_samples_with_pool(dataset, group, &signature, &good_pool, &mut rng)?;
-
-            // Shuffled 70/30 split.
-            let mut order: Vec<usize> = (0..xs.len()).collect();
-            order.shuffle(&mut rng);
-            let cut = ((xs.len() as f64) * self.config.train_fraction).round() as usize;
-            let cut = cut.clamp(1, xs.len() - 1);
-            let (train_idx, test_idx) = order.split_at(cut);
-            let train_x: Vec<Vec<f64>> = train_idx.iter().map(|&i| xs[i].clone()).collect();
-            let train_y: Vec<f64> = train_idx.iter().map(|&i| ys[i]).collect();
-            // Test rows are only read once for scoring — borrow them
-            // instead of cloning the whole held-out set.
-            let test_x: Vec<&[f64]> = test_idx.iter().map(|&i| xs[i].as_slice()).collect();
-            let test_y: Vec<f64> = test_idx.iter().map(|&i| ys[i]).collect();
-
-            let tree = RegressionTree::fit(&train_x, &train_y, &self.config.tree)?;
-            let predictions = tree.predict_batch_ref(&test_x);
-            let test_rmse = rmse(&predictions, &test_y)?;
-            groups.push(GroupPrediction {
-                group_index: group.index,
-                signature,
-                tree,
-                rmse: test_rmse,
-                // Target range is [-1, 1] (§V-B: error rate over the range).
-                error_rate: test_rmse / 2.0,
-                train_samples: train_x.len(),
-                test_samples: test_x.len(),
-            });
-        }
-        Ok(PredictionReport { groups })
-    }
-
-    /// [`train`](Self::train) against column-major fleet storage: the good
-    /// pool, sample assembly and the regression trees all work on
-    /// per-attribute columns ([`RegressionTree::fit_columns`] with its
-    /// presorted split scans), drives resolve through the O(1) position
-    /// map, and only the test rows are materialized row-major for scoring.
-    /// The random sampling, shuffle and split consume the seeded RNG in
-    /// exactly the old order, so the report is bit-identical.
+    /// Trains and evaluates a predictor for every group against
+    /// column-major fleet storage: failed samples are gathered from the
+    /// per-attribute columns, good samples are read from the fleet's good
+    /// pool, and the trees fit with [`RegressionTree::fit_columns`].
     ///
     /// # Errors
     ///
@@ -228,107 +149,7 @@ impl DegradationPredictor {
         categorization: &Categorization,
         degradation: &[GroupDegradation],
     ) -> Result<PredictionReport, AnalysisError> {
-        self.validate_config()?;
-        let _span = dds_obs::span!(
-            dds_obs::Level::Debug,
-            "predict.train",
-            groups = categorization.num_groups(),
-            train_fraction = self.config.train_fraction,
-        );
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let good_pool = {
-            let _span = dds_obs::span!(dds_obs::Level::Debug, "predict.good_pool",);
-            columns.finite_good_pool()
-        };
-
-        // Per-group working memory, allocated once and recycled across the
-        // loop. Freeing the multi-megabyte sample/train buffers after every
-        // group lets glibc's main arena trim the heap back to the OS, and
-        // the next group then refaults (and kernel-zeroes) every page;
-        // reuse keeps the pages hot. Worker-thread fits get the same effect
-        // for free from their per-thread arenas — this closes the gap for
-        // the sequential path.
-        let mut sample_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
-        let mut sample_ys: Vec<f64> = Vec::new();
-        let mut finite: Vec<bool> = Vec::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut train_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
-        let mut train_y: Vec<f64> = Vec::new();
-        let mut test_flat: Vec<f64> = Vec::new();
-        let mut test_y: Vec<f64> = Vec::new();
-        let mut fit_scratch = FitScratch::default();
-
-        let mut groups = Vec::with_capacity(categorization.num_groups());
-        for group in categorization.groups() {
-            let signature = self.group_signature(group, degradation)?;
-            {
-                let _span =
-                    dds_obs::span!(dds_obs::Level::Debug, "predict.assemble", group = group.index,);
-                self.assemble_sample_columns(
-                    columns,
-                    group,
-                    &signature,
-                    &good_pool,
-                    &mut rng,
-                    &mut sample_cols,
-                    &mut sample_ys,
-                    &mut finite,
-                )?;
-            }
-            let n = sample_ys.len();
-
-            // Shuffled 70/30 split — the same RNG draws as the row path.
-            let _span =
-                dds_obs::span!(dds_obs::Level::Debug, "predict.split_gather", group = group.index,);
-            order.clear();
-            order.extend(0..n);
-            order.shuffle(&mut rng);
-            let cut = ((n as f64) * self.config.train_fraction).round() as usize;
-            let cut = cut.clamp(1, n - 1);
-            let (train_idx, test_idx) = order.split_at(cut);
-            for (col, samples) in train_cols.iter_mut().zip(&sample_cols) {
-                col.clear();
-                col.extend(train_idx.iter().map(|&i| samples[i]));
-            }
-            let train_x = ColMatrix::from_columns(std::mem::take(&mut train_cols))?;
-            train_y.clear();
-            train_y.extend(train_idx.iter().map(|&i| sample_ys[i]));
-            // Test rows are only read once for scoring — gather them into
-            // one flat row-major buffer.
-            test_flat.clear();
-            test_flat.reserve(test_idx.len() * NUM_ATTRIBUTES);
-            for &i in test_idx {
-                for col in &sample_cols {
-                    test_flat.push(col[i]);
-                }
-            }
-            let test_x: Vec<&[f64]> = test_flat.chunks_exact(NUM_ATTRIBUTES).collect();
-            test_y.clear();
-            test_y.extend(test_idx.iter().map(|&i| sample_ys[i]));
-            drop(_span);
-
-            let tree = RegressionTree::fit_columns_with_scratch(
-                &train_x,
-                &train_y,
-                &self.config.tree,
-                &mut fit_scratch,
-            )?;
-            let predictions = tree.predict_batch_ref(&test_x);
-            let test_rmse = rmse(&predictions, &test_y)?;
-            groups.push(GroupPrediction {
-                group_index: group.index,
-                signature,
-                tree,
-                rmse: test_rmse,
-                // Target range is [-1, 1] (§V-B: error rate over the range).
-                error_rate: test_rmse / 2.0,
-                train_samples: train_idx.len(),
-                test_samples: test_idx.len(),
-            });
-            // Hand the train columns' capacity back for the next group.
-            train_cols = train_x.into_columns();
-        }
-        Ok(PredictionReport { groups })
+        Ok(self.train_groups(columns, categorization, degradation, None)?.0)
     }
 
     /// [`train_with_columns`](Self::train_with_columns) warm-started from
@@ -357,12 +178,26 @@ impl DegradationPredictor {
         columns: &FleetColumns,
         categorization: &Categorization,
         degradation: &[GroupDegradation],
-        prior: &crate::model::TrainedModel,
+        prior: &TrainedModel,
+    ) -> Result<(PredictionReport, WarmPredictStats), AnalysisError> {
+        self.train_groups(columns, categorization, degradation, Some(prior))
+    }
+
+    /// The one trainer behind both public entry points. Without a prior
+    /// it is the cold §V-B trainer; with one it thins the good rows of
+    /// every train split and scores the prior's trees on the test split.
+    /// Either way the RNG draws, the split and the test rows are the same.
+    pub(crate) fn train_groups(
+        &self,
+        columns: &FleetColumns,
+        categorization: &Categorization,
+        degradation: &[GroupDegradation],
+        prior: Option<&TrainedModel>,
     ) -> Result<(PredictionReport, WarmPredictStats), AnalysisError> {
         self.validate_config()?;
         let _span = dds_obs::span!(
             dds_obs::Level::Debug,
-            "predict.train_warm",
+            if prior.is_some() { "predict.train_warm" } else { "predict.train" },
             groups = categorization.num_groups(),
             train_fraction = self.config.train_fraction,
         );
@@ -372,10 +207,14 @@ impl DegradationPredictor {
             columns.finite_good_pool()
         };
 
-        let mut sample_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
-        let mut sample_ys: Vec<f64> = Vec::new();
-        let mut finite: Vec<bool> = Vec::new();
-        let mut good_picks: Vec<usize> = Vec::new();
+        // Per-group working memory, allocated once and recycled across the
+        // loop. Freeing the multi-megabyte sample/train buffers after every
+        // group lets glibc's main arena trim the heap back to the OS, and
+        // the next group then refaults (and kernel-zeroes) every page;
+        // reuse keeps the pages hot. Worker-thread fits get the same effect
+        // for free from their per-thread arenas — this closes the gap for
+        // the sequential path.
+        let mut samples = Samples::new(&good_pool);
         let mut order: Vec<usize> = Vec::new();
         let mut kept: Vec<usize> = Vec::new();
         let mut train_cols: Vec<Vec<f64>> = vec![Vec::new(); NUM_ATTRIBUTES];
@@ -384,98 +223,68 @@ impl DegradationPredictor {
         let mut test_y: Vec<f64> = Vec::new();
         let mut fit_scratch = FitScratch::default();
 
-        let mut stats = WarmPredictStats::default();
         let mut live_total = 0.0;
         let mut live_matched = 0usize;
         let mut groups = Vec::with_capacity(categorization.num_groups());
         for group in categorization.groups() {
             let signature = self.group_signature(group, degradation)?;
-            // Good rows are *lazy* on the warm path: only the failed rows
-            // are materialized into columns; the good side is the pick
-            // indices into `good_pool` (the identical `random_range`
-            // draws the cold path consumes), and values are read from the
-            // pool on demand below. Sample index `i` addresses failed row
-            // `i` for `i < n_failed`, else `good_pool[good_picks[i -
-            // n_failed]]` with label `1.0` — the exact sample the cold
-            // path would have appended at that index.
-            self.assemble_failed_sample_columns(
-                columns,
-                group,
-                &signature,
-                &mut sample_cols,
-                &mut sample_ys,
-                &mut finite,
-            )?;
-            let n_failed = sample_ys.len();
-            self.draw_good_picks(n_failed, good_pool.len(), &mut rng, &mut good_picks);
-            let n = n_failed + good_picks.len();
+            {
+                let _span =
+                    dds_obs::span!(dds_obs::Level::Debug, "predict.assemble", group = group.index,);
+                self.assemble(columns, group, &signature, &mut rng, &mut samples)?;
+            }
+            let n = samples.len();
 
-            // Shuffled 70/30 split — the same RNG draws as the cold path,
-            // so warm and cold score the same held-out rows.
+            // Shuffled 70/30 split.
+            let _span =
+                dds_obs::span!(dds_obs::Level::Debug, "predict.split_gather", group = group.index,);
             order.clear();
             order.extend(0..n);
             order.shuffle(&mut rng);
             let cut = ((n as f64) * self.config.train_fraction).round() as usize;
             let cut = cut.clamp(1, n - 1);
             let (train_idx, test_idx) = order.split_at(cut);
-
-            // Thin the good rows of the train split (sample indices
-            // `>= n_failed` are the appended good rows). Keeping the
-            // first survivors in split order is already a uniform random
-            // subsample — the shuffle above did the randomizing — so no
-            // extra RNG draws are consumed.
-            let failed_train = train_idx.iter().filter(|&&i| i < n_failed).count();
-            let good_cap = ((failed_train as f64) * WARM_GOOD_TRAIN_RATIO).ceil() as usize;
-            kept.clear();
-            let mut good_kept = 0usize;
-            for &i in train_idx {
-                if i < n_failed {
-                    kept.push(i);
-                } else if good_kept < good_cap {
-                    good_kept += 1;
-                    kept.push(i);
+            let train_idx = match prior {
+                Some(_) => {
+                    thin_good_rows(train_idx, samples.failed.len(), &mut kept);
+                    kept.as_slice()
                 }
-            }
-            stats.train_rows_kept += kept.len();
-            stats.train_rows_thinned += train_idx.len() - kept.len();
-
-            for (a, col) in train_cols.iter_mut().enumerate() {
+                None => train_idx,
+            };
+            // One read per sample row — a good row is one contiguous pool
+            // entry — fanned out into the twelve train columns.
+            for col in &mut train_cols {
                 col.clear();
-                col.extend(kept.iter().map(|&i| {
-                    if i < n_failed {
-                        sample_cols[a][i]
-                    } else {
-                        good_pool[good_picks[i - n_failed]][a]
-                    }
-                }));
+                col.reserve(train_idx.len());
+            }
+            train_y.clear();
+            train_y.reserve(train_idx.len());
+            for &i in train_idx {
+                for (col, &v) in train_cols.iter_mut().zip(samples.row(i)) {
+                    col.push(v);
+                }
+                train_y.push(samples.label(i));
             }
             let train_x = ColMatrix::from_columns(std::mem::take(&mut train_cols))?;
-            train_y.clear();
-            train_y
-                .extend(kept.iter().map(|&i| if i < n_failed { sample_ys[i] } else { 1.0 }));
+            // Test rows are only read once for scoring — gather them into
+            // one flat row-major buffer.
             test_flat.clear();
             test_flat.reserve(test_idx.len() * NUM_ATTRIBUTES);
+            test_y.clear();
+            test_y.reserve(test_idx.len());
             for &i in test_idx {
-                if i < n_failed {
-                    for col in &sample_cols {
-                        test_flat.push(col[i]);
-                    }
-                } else {
-                    test_flat.extend_from_slice(&good_pool[good_picks[i - n_failed]]);
-                }
+                test_flat.extend_from_slice(samples.row(i));
+                test_y.push(samples.label(i));
             }
             let test_x: Vec<&[f64]> = test_flat.chunks_exact(NUM_ATTRIBUTES).collect();
-            test_y.clear();
-            test_y
-                .extend(test_idx.iter().map(|&i| if i < n_failed { sample_ys[i] } else { 1.0 }));
+            drop(_span);
 
             // Live half of the RMSE drift channel: the prior (serving)
             // tree scored on exactly the rows the fresh tree is tested on.
             if let Some(prior_group) =
-                prior.groups.iter().find(|g| g.group_index == group.index)
+                prior.and_then(|p| p.groups.iter().find(|g| g.group_index == group.index))
             {
-                let live_predictions = prior_group.tree.predict_batch_ref(&test_x);
-                live_total += rmse(&live_predictions, &test_y)?;
+                live_total += rmse(&prior_group.tree.predict_batch_ref(&test_x), &test_y)?;
                 live_matched += 1;
             }
 
@@ -494,13 +303,14 @@ impl DegradationPredictor {
                 rmse: test_rmse,
                 // Target range is [-1, 1] (§V-B: error rate over the range).
                 error_rate: test_rmse / 2.0,
-                train_samples: kept.len(),
+                train_samples: train_idx.len(),
                 test_samples: test_idx.len(),
             });
+            // Hand the train columns' capacity back for the next group.
             train_cols = train_x.into_columns();
         }
-        stats.live_rmse = (live_matched > 0).then(|| live_total / live_matched as f64);
-        Ok((PredictionReport { groups }, stats))
+        let live_rmse = (live_matched > 0).then(|| live_total / live_matched as f64);
+        Ok((PredictionReport { groups }, WarmPredictStats { live_rmse }))
     }
 
     fn validate_config(&self) -> Result<(), AnalysisError> {
@@ -525,7 +335,7 @@ impl DegradationPredictor {
     /// the configured fixed window or the median extracted window.
     fn group_signature(
         &self,
-        group: &crate::categorize::FailureGroup,
+        group: &FailureGroup,
         degradation: &[GroupDegradation],
     ) -> Result<SignatureModel, AnalysisError> {
         let summary =
@@ -546,13 +356,13 @@ impl DegradationPredictor {
         };
         Ok(SignatureModel::new(summary.dominant_form, window.max(1.0))?)
     }
-}
 
-impl DegradationPredictor {
     /// Assembles the §V-B labeled sample set for one group: every record of
     /// every group drive labeled by the signature value at its
     /// hours-before-failure (clamped to `[-1, 1]`), mixed with
     /// `good_sample_ratio ×` as many random good records labeled `1`.
+    /// Failed rows come first, in drive/record order; good rows follow in
+    /// draw order.
     ///
     /// # Errors
     ///
@@ -560,65 +370,15 @@ impl DegradationPredictor {
     /// records at all.
     pub fn assemble_samples<R: rand::Rng + ?Sized>(
         &self,
-        dataset: &Dataset,
-        group: &crate::categorize::FailureGroup,
+        columns: &FleetColumns,
+        group: &FailureGroup,
         signature: &SignatureModel,
         rng: &mut R,
     ) -> Result<(Vec<Vec<f64>>, Vec<f64>), AnalysisError> {
-        let good_pool: Vec<[f64; NUM_ATTRIBUTES]> = dataset
-            .good_drives()
-            .flat_map(|d| d.records().iter().map(|r| dataset.normalize_record(r)))
-            .filter(|row| row.iter().all(|v| v.is_finite()))
-            .collect();
-        self.assemble_samples_with_pool(dataset, group, signature, &good_pool, rng)
-    }
-
-    /// [`assemble_samples`](Self::assemble_samples) against a pre-built
-    /// good-record pool, so [`train`](Self::train) pays the population scan
-    /// once rather than once per group. Pool construction draws no random
-    /// numbers, so the sampling sequence is unchanged.
-    fn assemble_samples_with_pool<R: rand::Rng + ?Sized>(
-        &self,
-        dataset: &Dataset,
-        group: &crate::categorize::FailureGroup,
-        signature: &SignatureModel,
-        good_pool: &[[f64; NUM_ATTRIBUTES]],
-        rng: &mut R,
-    ) -> Result<(Vec<Vec<f64>>, Vec<f64>), AnalysisError> {
-        let mut xs: Vec<Vec<f64>> = Vec::new();
-        let mut ys: Vec<f64> = Vec::new();
-        for &id in &group.drive_ids {
-            let drive = dataset.drive(id).expect("group drives exist");
-            // Hours-before-failure by record *hour*, so profiles with
-            // quarantined (missing) hours label each surviving sample at
-            // its true distance to failure; identical to the index form
-            // `n - 1 - i` on gap-free profiles.
-            let last_hour = drive.records().last().expect("profiles are non-empty").hour;
-            for record in drive.records() {
-                let t = (last_hour - record.hour) as f64;
-                let row = dataset.normalize_record(record);
-                if row.iter().any(|v| !v.is_finite()) {
-                    continue;
-                }
-                xs.push(row.to_vec());
-                ys.push(signature.evaluate(t).clamp(-1.0, 1.0));
-            }
-        }
-        if xs.is_empty() {
-            return Err(AnalysisError::UnsuitableDataset(format!(
-                "group {} has no failed samples",
-                group.index + 1
-            )));
-        }
-        let n_good = ((xs.len() as f64) * self.config.good_sample_ratio) as usize;
-        for _ in 0..n_good.min(good_pool.len().saturating_mul(4)) {
-            let pick = rng.random_range(0..good_pool.len().max(1));
-            if let Some(rec) = good_pool.get(pick) {
-                xs.push(rec.to_vec());
-                ys.push(1.0);
-            }
-        }
-        Ok((xs, ys))
+        let good_pool = columns.finite_good_pool();
+        let mut samples = Samples::new(&good_pool);
+        self.assemble(columns, group, signature, rng, &mut samples)?;
+        Ok((samples.rows().map(|row| row.to_vec()).collect(), samples.labels().collect()))
     }
 
     /// Scores a *prior* (serving) model's per-group trees against the
@@ -640,7 +400,7 @@ impl DegradationPredictor {
     /// assembly errors.
     pub fn score_prior_rmse(
         &self,
-        prior: &crate::model::TrainedModel,
+        prior: &TrainedModel,
         dataset: &Dataset,
         report: &crate::pipeline::AnalysisReport,
     ) -> Result<f64, AnalysisError> {
@@ -648,16 +408,13 @@ impl DegradationPredictor {
         // Independent deterministic stream — must not perturb (or depend
         // on) the training draws.
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x5C0E);
-        let good_pool: Vec<[f64; NUM_ATTRIBUTES]> = dataset
-            .good_drives()
-            .flat_map(|d| d.records().iter().map(|r| dataset.normalize_record(r)))
-            .filter(|row| row.iter().all(|v| v.is_finite()))
-            .collect();
+        let columns = FleetColumns::build(dataset, self.config.tree.parallelism);
+        let good_pool = columns.finite_good_pool();
+        let mut samples = Samples::new(&good_pool);
         let mut total = 0.0;
         let mut matched = 0usize;
         for group in report.categorization.groups() {
-            let Some(artifact) = prior.groups.iter().find(|g| g.group_index == group.index)
-            else {
+            let Some(artifact) = prior.groups.iter().find(|g| g.group_index == group.index) else {
                 continue;
             };
             let Some(window_group) =
@@ -665,16 +422,10 @@ impl DegradationPredictor {
             else {
                 continue;
             };
-            let (xs, ys) = self.assemble_samples_with_pool(
-                dataset,
-                group,
-                &window_group.signature,
-                &good_pool,
-                &mut rng,
-            )?;
-            let rows: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-            let predictions = artifact.tree.predict_batch_ref(&rows);
-            total += rmse(&predictions, &ys)?;
+            self.assemble(&columns, group, &window_group.signature, &mut rng, &mut samples)?;
+            let rows: Vec<&[f64]> = samples.rows().map(|row| row.as_slice()).collect();
+            let ys: Vec<f64> = samples.labels().collect();
+            total += rmse(&artifact.tree.predict_batch_ref(&rows), &ys)?;
             matched += 1;
         }
         if matched == 0 {
@@ -685,113 +436,115 @@ impl DegradationPredictor {
         Ok(total / matched as f64)
     }
 
-    /// [`assemble_samples_with_pool`](Self::assemble_samples_with_pool)
-    /// straight into column-major sample storage: per drive, a columnwise
-    /// finite mask selects the usable rows, then each attribute column is
-    /// appended in one contiguous pass — no per-record `Vec` rows. Sample
-    /// order, labels and RNG draws match the row path exactly.
-    ///
-    /// Writes into caller-owned buffers (`cols`, `ys`, `finite`) so the
-    /// per-group loop in [`train_with_columns`](Self::train_with_columns)
-    /// reuses their capacity instead of reallocating every group; each is
-    /// cleared before use. Returns the number of failed-drive rows, which
-    /// always occupy the sample prefix (good rows are appended after).
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_sample_columns<R: rand::Rng + ?Sized>(
+    /// Fills `samples` with one group's §V-B sample set (see
+    /// [`assemble_samples`](Self::assemble_samples)): every finite record
+    /// of the group's drives, labeled by the group signature, then the
+    /// good-row pool picks — `good_sample_ratio ×` as many, drawn with
+    /// replacement. Good rows stay pool indices; nothing is copied.
+    fn assemble<R: rand::Rng + ?Sized>(
         &self,
         columns: &FleetColumns,
-        group: &crate::categorize::FailureGroup,
+        group: &FailureGroup,
         signature: &SignatureModel,
-        good_pool: &[[f64; NUM_ATTRIBUTES]],
         rng: &mut R,
-        cols: &mut [Vec<f64>],
-        ys: &mut Vec<f64>,
-        finite: &mut Vec<bool>,
-    ) -> Result<usize, AnalysisError> {
-        self.assemble_failed_sample_columns(columns, group, signature, cols, ys, finite)?;
-        let n_failed = ys.len();
-        let mut picks = Vec::new();
-        self.draw_good_picks(n_failed, good_pool.len(), rng, &mut picks);
-        for &pick in &picks {
-            for (col, &v) in cols.iter_mut().zip(good_pool[pick].iter()) {
-                col.push(v);
-            }
-            ys.push(1.0);
-        }
-        Ok(n_failed)
-    }
-
-    /// The failed-drive half of sample assembly: every finite record of
-    /// the group's drives, labeled by the group signature. These rows
-    /// always occupy the sample prefix.
-    fn assemble_failed_sample_columns(
-        &self,
-        columns: &FleetColumns,
-        group: &crate::categorize::FailureGroup,
-        signature: &SignatureModel,
-        cols: &mut [Vec<f64>],
-        ys: &mut Vec<f64>,
-        finite: &mut Vec<bool>,
+        samples: &mut Samples<'_>,
     ) -> Result<(), AnalysisError> {
-        for col in cols.iter_mut() {
-            col.clear();
-        }
-        ys.clear();
+        samples.failed.clear();
+        samples.labels.clear();
         for &id in &group.drive_ids {
             let pos = columns.position(id).expect("group drives exist");
             let hours = columns.hours(pos);
             let last_hour = *hours.last().expect("profiles are non-empty");
-            finite.clear();
-            finite.resize(hours.len(), true);
-            for a in 0..NUM_ATTRIBUTES {
-                for (f, v) in finite.iter_mut().zip(columns.normalized_slice(a, pos)) {
-                    *f &= v.is_finite();
+            let attrs: [&[f64]; NUM_ATTRIBUTES] =
+                std::array::from_fn(|a| columns.normalized_slice(a, pos));
+            for (k, &hour) in hours.iter().enumerate() {
+                let row: [f64; NUM_ATTRIBUTES] = std::array::from_fn(|a| attrs[a][k]);
+                if row.iter().any(|v| !v.is_finite()) {
+                    continue;
                 }
-            }
-            for (a, col) in cols.iter_mut().enumerate() {
-                for (&f, &v) in finite.iter().zip(columns.normalized_slice(a, pos)) {
-                    if f {
-                        col.push(v);
-                    }
-                }
-            }
-            // Hours-before-failure by record *hour*, exactly as the row
-            // path labels its samples.
-            for (&f, &h) in finite.iter().zip(hours) {
-                if f {
-                    let t = (last_hour - h) as f64;
-                    ys.push(signature.evaluate(t).clamp(-1.0, 1.0));
-                }
+                // Hours-before-failure by record *hour*, so profiles with
+                // quarantined (missing) hours label each surviving sample
+                // at its true distance to failure.
+                let t = (last_hour - hour) as f64;
+                samples.failed.push(row);
+                samples.labels.push(signature.evaluate(t).clamp(-1.0, 1.0));
             }
         }
-        if ys.is_empty() {
+        if samples.failed.is_empty() {
             return Err(AnalysisError::UnsuitableDataset(format!(
                 "group {} has no failed samples",
                 group.index + 1
             )));
         }
-        Ok(())
-    }
-
-    /// Draws the good-row pool picks for a group of `n_failed` failed
-    /// samples — `good_sample_ratio ×` as many, with replacement. Exactly
-    /// this RNG-draw sequence is consumed whether the rows are
-    /// materialized (cold path) or read lazily from the pool (warm path),
-    /// which is what keeps the two paths' shuffled splits identical.
-    fn draw_good_picks<R: rand::Rng + ?Sized>(
-        &self,
-        n_failed: usize,
-        pool_len: usize,
-        rng: &mut R,
-        picks: &mut Vec<usize>,
-    ) {
-        picks.clear();
-        let n_good = ((n_failed as f64) * self.config.good_sample_ratio) as usize;
+        let pool_len = samples.pool.len();
+        let n_good = ((samples.failed.len() as f64) * self.config.good_sample_ratio) as usize;
+        samples.good_picks.clear();
         for _ in 0..n_good.min(pool_len.saturating_mul(4)) {
             let pick = rng.random_range(0..pool_len.max(1));
             if pick < pool_len {
-                picks.push(pick);
+                samples.good_picks.push(pick);
             }
+        }
+        Ok(())
+    }
+}
+
+/// One group's §V-B sample set with the good rows kept lazily: sample `i`
+/// is failed row `i` for `i < failed.len()`, else good-pool row
+/// `good_picks[i - failed.len()]` labeled `1`. The buffers are reused from
+/// group to group.
+struct Samples<'p> {
+    pool: &'p [[f64; NUM_ATTRIBUTES]],
+    failed: Vec<[f64; NUM_ATTRIBUTES]>,
+    labels: Vec<f64>,
+    good_picks: Vec<usize>,
+}
+
+impl<'p> Samples<'p> {
+    fn new(pool: &'p [[f64; NUM_ATTRIBUTES]]) -> Self {
+        Samples { pool, failed: Vec::new(), labels: Vec::new(), good_picks: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.failed.len() + self.good_picks.len()
+    }
+
+    fn row(&self, i: usize) -> &[f64; NUM_ATTRIBUTES] {
+        match i.checked_sub(self.failed.len()) {
+            None => &self.failed[i],
+            Some(g) => &self.pool[self.good_picks[g]],
+        }
+    }
+
+    fn label(&self, i: usize) -> f64 {
+        self.labels.get(i).copied().unwrap_or(1.0)
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[f64; NUM_ATTRIBUTES]> {
+        self.failed.iter().chain(self.good_picks.iter().map(|&g| &self.pool[g]))
+    }
+
+    fn labels(&self) -> impl Iterator<Item = f64> + '_ {
+        self.labels.iter().copied().chain(std::iter::repeat_n(1.0, self.good_picks.len()))
+    }
+}
+
+/// Thins the good rows of a train split to [`WARM_GOOD_TRAIN_RATIO`] × its
+/// failed rows (sample indices `< n_failed`), writing the kept indices to
+/// `kept`. Every failed row is kept. Keeping the first good survivors in
+/// split order is already a uniform random subsample — the shuffle did the
+/// randomizing — so no RNG draws are consumed.
+fn thin_good_rows(train_idx: &[usize], n_failed: usize, kept: &mut Vec<usize>) {
+    let failed_train = train_idx.iter().filter(|&&i| i < n_failed).count();
+    let good_cap = ((failed_train as f64) * WARM_GOOD_TRAIN_RATIO).ceil() as usize;
+    let mut good_kept = 0usize;
+    kept.clear();
+    for &i in train_idx {
+        if i < n_failed {
+            kept.push(i);
+        } else if good_kept < good_cap {
+            good_kept += 1;
+            kept.push(i);
         }
     }
 }
@@ -1067,20 +820,24 @@ mod tests {
     use crate::features::FailureRecordSet;
     use dds_smartsim::{FleetConfig, FleetSimulator};
 
-    fn setup() -> (Dataset, Categorization, Vec<GroupDegradation>) {
+    fn setup() -> (Dataset, FleetColumns, Categorization, Vec<GroupDegradation>) {
         let ds = FleetSimulator::new(FleetConfig::test_scale().with_seed(71)).run();
         let records = FailureRecordSet::extract(&ds, 24).unwrap();
         let cat = Categorizer::new(CategorizationConfig { run_svc: false, ..Default::default() })
             .categorize(&ds, &records)
             .unwrap();
-        let deg = DegradationAnalyzer::default().analyze_groups(&ds, &records, &cat).unwrap();
-        (ds, cat, deg)
+        let columns = FleetColumns::build(&ds, dds_stats::Parallelism::Sequential);
+        let deg = DegradationAnalyzer::default()
+            .analyze_groups_columns(&columns, &records, &cat)
+            .unwrap();
+        (ds, columns, cat, deg)
     }
 
     #[test]
     fn trains_one_predictor_per_group_with_low_error() {
-        let (ds, cat, deg) = setup();
-        let report = DegradationPredictor::default().train(&ds, &cat, &deg).unwrap();
+        let (_, columns, cat, deg) = setup();
+        let report =
+            DegradationPredictor::default().train_with_columns(&columns, &cat, &deg).unwrap();
         assert_eq!(report.groups.len(), 3);
         for g in &report.groups {
             assert!(g.rmse.is_finite());
@@ -1096,10 +853,11 @@ mod tests {
 
     #[test]
     fn paper_windows_override_is_used() {
-        let (ds, cat, deg) = setup();
+        let (_, columns, cat, deg) = setup();
         let config =
             PredictionConfig { fixed_windows: Some(vec![12.0, 380.0, 24.0]), ..Default::default() };
-        let report = DegradationPredictor::new(config).train(&ds, &cat, &deg).unwrap();
+        let report =
+            DegradationPredictor::new(config).train_with_columns(&columns, &cat, &deg).unwrap();
         assert_eq!(report.groups[0].signature.window(), 12.0);
         assert_eq!(report.groups[1].signature.window(), 380.0);
         assert_eq!(report.groups[2].signature.window(), 24.0);
@@ -1107,8 +865,9 @@ mod tests {
 
     #[test]
     fn rendered_tree_uses_attribute_symbols() {
-        let (ds, cat, deg) = setup();
-        let report = DegradationPredictor::default().train(&ds, &cat, &deg).unwrap();
+        let (_, columns, cat, deg) = setup();
+        let report =
+            DegradationPredictor::default().train_with_columns(&columns, &cat, &deg).unwrap();
         let text = report.groups[0].render_tree();
         assert!(text.contains('%'));
         // At least one SMART symbol appears in a split.
@@ -1118,8 +877,9 @@ mod tests {
 
     #[test]
     fn prediction_distinguishes_good_from_failing_records() {
-        let (ds, cat, deg) = setup();
-        let report = DegradationPredictor::default().train(&ds, &cat, &deg).unwrap();
+        let (ds, columns, cat, deg) = setup();
+        let report =
+            DegradationPredictor::default().train_with_columns(&columns, &cat, &deg).unwrap();
         // Group 2 (bad sectors) failure records should predict near -1,
         // good records near +1.
         let g2 = &report.groups[1];
@@ -1134,19 +894,19 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected() {
-        let (ds, cat, deg) = setup();
+        let (_, columns, cat, deg) = setup();
         let bad = PredictionConfig { train_fraction: 1.5, ..Default::default() };
         assert!(matches!(
-            DegradationPredictor::new(bad).train(&ds, &cat, &deg),
+            DegradationPredictor::new(bad).train_with_columns(&columns, &cat, &deg),
             Err(AnalysisError::InvalidConfig(_))
         ));
         let bad = PredictionConfig { good_sample_ratio: -1.0, ..Default::default() };
-        assert!(DegradationPredictor::new(bad).train(&ds, &cat, &deg).is_err());
+        assert!(DegradationPredictor::new(bad).train_with_columns(&columns, &cat, &deg).is_err());
     }
 
     #[test]
     fn threshold_detector_is_conservative() {
-        let (ds, _, _) = setup();
+        let (ds, ..) = setup();
         let outcome = threshold_detector(&ds, &ThresholdPolicy::vendor_conservative());
         // Low FDR at near-zero FAR — the vendor trade-off of §II-C.
         assert!(outcome.detection_rate < 0.5, "FDR {}", outcome.detection_rate);
@@ -1155,7 +915,7 @@ mod tests {
 
     #[test]
     fn rank_sum_detector_beats_thresholds_on_detection() {
-        let (ds, _, _) = setup();
+        let (ds, ..) = setup();
         let threshold = threshold_detector(&ds, &ThresholdPolicy::vendor_conservative());
         let rank = rank_sum_detector(&ds, &RankSumConfig::default()).unwrap();
         assert!(
@@ -1176,7 +936,7 @@ mod tests {
 
     #[test]
     fn mahalanobis_detector_calibrates_far() {
-        let (ds, _, _) = setup();
+        let (ds, ..) = setup();
         let outcome = mahalanobis_detector(&ds, &MahalanobisConfig::default()).unwrap();
         assert!(outcome.false_alarm_rate <= 0.05, "FAR {}", outcome.false_alarm_rate);
         // It must catch at least the obvious sector/head failures.

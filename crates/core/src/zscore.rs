@@ -207,52 +207,35 @@ fn sweep_groups(
 }
 
 /// Runs the sweep for every attribute and ranks which attribute best
-/// separates each group (the §V-A diagnosis table).
+/// separates each group (the §V-A diagnosis table): a thin adapter that
+/// transposes `dataset` into [`FleetColumns`] and runs
+/// [`all_attribute_z_scores_columns`] sequentially.
 ///
 /// # Errors
 ///
-/// Propagates [`temporal_z_scores`] errors.
+/// Propagates [`temporal_z_scores_columns`] errors.
 pub fn all_attribute_z_scores(
     dataset: &Dataset,
     records: &FailureRecordSet,
     categorization: &Categorization,
     config: &ZScoreConfig,
 ) -> Result<Vec<TemporalZScores>, AnalysisError> {
-    all_attribute_z_scores_with(dataset, records, categorization, config, Parallelism::Sequential)
+    let columns = FleetColumns::build(dataset, Parallelism::Sequential);
+    all_attribute_z_scores_columns(
+        &columns,
+        records,
+        categorization,
+        config,
+        Parallelism::Sequential,
+    )
 }
 
-/// [`all_attribute_z_scores`] with an explicit parallelism mode. Each
-/// attribute's sweep is independent of the others (its own good-reference
-/// vector, its own per-group series), so the 12 sweeps fan out across
-/// threads; output order follows [`Attribute::ALL`] and a failure
-/// surfaces for the lowest attribute index in every mode.
-///
-/// # Errors
-///
-/// Propagates [`temporal_z_scores`] errors.
-pub fn all_attribute_z_scores_with(
-    dataset: &Dataset,
-    records: &FailureRecordSet,
-    categorization: &Categorization,
-    config: &ZScoreConfig,
-    parallelism: Parallelism,
-) -> Result<Vec<TemporalZScores>, AnalysisError> {
-    let _span = dds_obs::span!(
-        dds_obs::Level::Debug,
-        "zscore.sweep",
-        attributes = Attribute::ALL.len(),
-        max_hours = config.max_hours,
-    );
-    par_map_indexed(parallelism, &Attribute::ALL, |_, &attr| {
-        temporal_z_scores(dataset, records, categorization, attr, config)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// [`all_attribute_z_scores_with`] against column-major fleet storage —
-/// the 12 per-attribute sweeps fan out over [`temporal_z_scores_columns`].
-/// Bit-identical to the row-based sweep.
+/// The temporal z-score sweep for every attribute against column-major
+/// fleet storage. Each attribute's sweep is independent of the others (its
+/// own good-reference column, its own per-group series), so the 12 sweeps
+/// over [`temporal_z_scores_columns`] fan out across threads; output order
+/// follows [`Attribute::ALL`] and a failure surfaces for the lowest
+/// attribute index in every mode.
 ///
 /// # Errors
 ///

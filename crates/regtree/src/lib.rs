@@ -217,14 +217,16 @@ impl PartialEq for RegressionTree {
 }
 
 impl RegressionTree {
-    /// Fits a tree on row-features `xs` and targets `ys`.
+    /// Fits a tree on row-features `xs` and targets `ys`: a thin adapter
+    /// that transposes the rows into a [`ColMatrix`] and runs
+    /// [`fit_columns`](Self::fit_columns), so the tree is identical.
     ///
     /// # Errors
     ///
-    /// Returns [`TreeError::EmptyInput`] for no samples,
-    /// [`TreeError::DimensionMismatch`] for ragged rows or a target length
-    /// that differs from the row count, and [`TreeError::InvalidConfig`]
-    /// for out-of-domain hyper-parameters.
+    /// Checked in this order: [`TreeError::InvalidConfig`] for
+    /// out-of-domain hyper-parameters, [`TreeError::EmptyInput`] for no
+    /// samples or zero-width rows, and [`TreeError::DimensionMismatch`] for
+    /// a target length that differs from the row count or for ragged rows.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], config: &TreeConfig) -> Result<Self, TreeError> {
         config.validate()?;
         if xs.is_empty() || xs[0].is_empty() {
@@ -233,51 +235,24 @@ impl RegressionTree {
         if xs.len() != ys.len() {
             return Err(TreeError::DimensionMismatch { expected: xs.len(), actual: ys.len() });
         }
-        let num_features = xs[0].len();
-        for row in xs {
-            if row.len() != num_features {
-                return Err(TreeError::DimensionMismatch {
-                    expected: num_features,
-                    actual: row.len(),
-                });
-            }
+        let width = xs[0].len();
+        if let Some(row) = xs.iter().find(|row| row.len() != width) {
+            return Err(TreeError::DimensionMismatch { expected: width, actual: row.len() });
         }
-        let _span = dds_obs::span!(
-            dds_obs::Level::Debug,
-            "regtree.fit",
-            rows = xs.len(),
-            features = num_features,
-            max_depth = config.max_depth,
-        );
-        dds_obs::metrics::global().counter("dds_regtree_fits_total").inc();
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
-            num_features,
-            importances: vec![0.0; num_features],
-            parallelism: config.parallelism,
-        };
-        let indices: Vec<usize> = (0..xs.len()).collect();
-        tree.build(xs, ys, indices, 0, config);
-        // Normalize importances.
-        let total: f64 = tree.importances.iter().sum();
-        if total > 0.0 {
-            for imp in &mut tree.importances {
-                *imp /= total;
-            }
-        }
-        dds_obs::event!(dds_obs::Level::Trace, "regtree.built", nodes = tree.nodes.len());
-        Ok(tree)
+        let matrix = ColMatrix::from_rows(xs).expect("rows are non-empty and rectangular");
+        Self::fit_columns(&matrix, ys, config)
     }
 
     /// Fits a tree on column-major features — the cache-friendly fast path.
     ///
-    /// Produces a tree **bit-identical** to [`fit`](Self::fit) on the
-    /// row-major view of the same data, but replaces the per-node,
-    /// per-feature `O(n log n)` sorts of the classic scan with one stable
-    /// sort per feature at the root plus an `O(n)` stable partition per
-    /// node. The identity argument:
+    /// Produces a tree **bit-identical** to the classic CART scan (sort
+    /// the node's samples per feature at every node, then scan prefix
+    /// sums), but replaces those per-node, per-feature `O(n log n)` sorts
+    /// with one stable sort per feature at the root plus an `O(n)` stable
+    /// partition per node. The classic scan survives as the test oracle
+    /// this kernel is checked against. The identity argument:
     ///
-    /// * In [`fit`](Self::fit), every node's index list is in ascending
+    /// * In the classic scan, every node's index list is in ascending
     ///   original-row order (the root starts at `0..n` and partitioning
     ///   preserves order), so the stable per-node sort orders ties by
     ///   ascending row.
@@ -298,7 +273,7 @@ impl RegressionTree {
     ///
     /// # Panics
     ///
-    /// Panics if any feature value is NaN (as does [`fit`](Self::fit)).
+    /// Panics if any feature value is NaN.
     pub fn fit_columns(
         matrix: &ColMatrix,
         ys: &[f64],
@@ -491,10 +466,14 @@ impl RegressionTree {
         node_id
     }
 
-    /// Column-major counterpart of [`best_split`](Self::best_split): same
-    /// parallelism gate, same feature fan-out, same strictly-greater fold,
-    /// but each feature scans its presorted value/target streams instead of
-    /// sorting.
+    /// Finds the SSE-minimizing split (Eq. 8) over all features and
+    /// thresholds, or `None` if no admissible split improves enough.
+    ///
+    /// Candidate features are evaluated independently (in parallel for
+    /// large nodes) and folded in feature order with a strictly-greater
+    /// comparison, so ties keep the lowest feature index — exactly what a
+    /// sequential scan over `0..num_features` produces. Each feature scans
+    /// its presorted value/target streams.
     fn best_split_columns(
         &self,
         orderings: &[FeatureOrdering],
@@ -518,89 +497,6 @@ impl RegressionTree {
                 config,
                 feature,
             )
-        });
-        let mut best: Option<BestSplit> = None;
-        for candidate in per_feature.into_iter().flatten() {
-            if best.as_ref().is_none_or(|b| candidate.improvement > b.improvement) {
-                best = Some(candidate);
-            }
-        }
-        best
-    }
-
-    /// Builds a subtree over `indices` and returns its node id.
-    fn build(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        indices: Vec<usize>,
-        depth: usize,
-        config: &TreeConfig,
-    ) -> usize {
-        let n = indices.len();
-        let mean = indices.iter().map(|&i| ys[i]).sum::<f64>() / n as f64;
-        let sse: f64 = indices.iter().map(|&i| (ys[i] - mean) * (ys[i] - mean)).sum();
-        let make_leaf = |this: &mut Self| {
-            this.nodes.push(Node::Leaf { value: mean, samples: n });
-            this.nodes.len() - 1
-        };
-        if depth >= config.max_depth || n < config.min_samples_split || sse <= 1e-12 {
-            return make_leaf(self);
-        }
-        let Some(best) = self.best_split(xs, ys, &indices, sse, config) else {
-            return make_leaf(self);
-        };
-        // Partition and recurse.
-        let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-        for &i in &indices {
-            if xs[i][best.feature] < best.threshold {
-                left_idx.push(i);
-            } else {
-                right_idx.push(i);
-            }
-        }
-        self.importances[best.feature] += best.improvement;
-        let node_id = self.nodes.len();
-        self.nodes.push(Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
-            value: mean,
-            samples: n,
-            left: 0,
-            right: 0,
-        });
-        let left = self.build(xs, ys, left_idx, depth + 1, config);
-        let right = self.build(xs, ys, right_idx, depth + 1, config);
-        if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_id] {
-            *l = left;
-            *r = right;
-        }
-        node_id
-    }
-
-    /// Finds the SSE-minimizing split (Eq. 8) over all features and
-    /// thresholds, or `None` if no admissible split improves enough.
-    ///
-    /// Candidate features are evaluated independently (in parallel for
-    /// large nodes) and folded in feature order with a strictly-greater
-    /// comparison, so ties keep the lowest feature index — exactly what a
-    /// sequential scan over `0..num_features` produces.
-    fn best_split(
-        &self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        indices: &[usize],
-        parent_sse: f64,
-        config: &TreeConfig,
-    ) -> Option<BestSplit> {
-        let par = if indices.len() * self.num_features >= PAR_SPLIT_MIN_CELLS {
-            config.parallelism
-        } else {
-            Parallelism::Sequential
-        };
-        let features: Vec<usize> = (0..self.num_features).collect();
-        let per_feature = par_map_indexed(par, &features, |_, &feature| {
-            best_split_for_feature(xs, ys, indices, parent_sse, config, feature)
         });
         let mut best: Option<BestSplit> = None;
         for candidate in per_feature.into_iter().flatten() {
@@ -952,60 +848,12 @@ fn stable_partition_ordering(
     ordering.ys[write..end].copy_from_slice(buffer_ys);
 }
 
-/// The best admissible split on one feature: sort the node's samples by
-/// the feature, then scan candidate partitions with prefix sums for O(1)
-/// SSE of each side (SSE = Σy² − (Σy)²/n). Ties keep the earliest
+/// Best admissible split on one feature over its presorted range: scan
+/// candidate partitions with prefix sums for O(1) SSE of each side
+/// (SSE = Σy² − (Σy)²/n) over the two sequential streams of feature values
+/// and targets in sorted order — the sort is paid once at the root, and
+/// there is no per-sample indirection at all. Ties keep the earliest
 /// candidate position (strictly-greater comparison).
-fn best_split_for_feature(
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    indices: &[usize],
-    parent_sse: f64,
-    config: &TreeConfig,
-    feature: usize,
-) -> Option<BestSplit> {
-    let n = indices.len();
-    let mut order: Vec<usize> = indices.to_vec();
-    order.sort_by(|&a, &b| xs[a][feature].partial_cmp(&xs[b][feature]).expect("finite features"));
-    let mut left_sum = 0.0;
-    let mut left_sq = 0.0;
-    let total_sum: f64 = order.iter().map(|&i| ys[i]).sum();
-    let total_sq: f64 = order.iter().map(|&i| ys[i] * ys[i]).sum();
-    let mut best: Option<BestSplit> = None;
-    for split_at in 1..n {
-        let i = order[split_at - 1];
-        left_sum += ys[i];
-        left_sq += ys[i] * ys[i];
-        // Can't split between equal feature values.
-        let lo = xs[order[split_at - 1]][feature];
-        let hi = xs[order[split_at]][feature];
-        if hi <= lo {
-            continue;
-        }
-        if split_at < config.min_samples_leaf || n - split_at < config.min_samples_leaf {
-            continue;
-        }
-        let right_sum = total_sum - left_sum;
-        let right_sq = total_sq - left_sq;
-        let left_sse = left_sq - left_sum * left_sum / split_at as f64;
-        let right_sse = right_sq - right_sum * right_sum / (n - split_at) as f64;
-        let improvement = parent_sse - left_sse - right_sse;
-        if improvement < config.min_impurity_decrease {
-            continue;
-        }
-        if best.as_ref().is_none_or(|b| improvement > b.improvement) {
-            best = Some(BestSplit { feature, threshold: (lo + hi) / 2.0, improvement });
-        }
-    }
-    best
-}
-
-/// Best admissible split on one feature over its presorted range: the same
-/// prefix-sum scan as [`best_split_for_feature`], minus the sort (already
-/// paid once at the root), over the two sequential streams of feature
-/// values and targets in sorted order — no per-sample indirection at all.
-/// The value/target sequences are the ones the scalar scan visits, so
-/// every sum folds in the identical order.
 fn best_split_for_feature_columns(
     vals: &[f64],
     ys: &[f64],
@@ -1045,6 +893,169 @@ fn best_split_for_feature_columns(
         }
     }
     best
+}
+
+/// The classic row-major CART scan: at every node, sort the node's samples
+/// by each feature and scan prefix sums. Production fits go through
+/// [`RegressionTree::fit_columns`]; this reference implementation is the
+/// oracle the tie-heavy tests compare it against.
+#[cfg(test)]
+mod classic {
+    use super::*;
+
+    /// Fits a tree with the classic scan (inputs are assumed valid).
+    pub(super) fn fit(xs: &[Vec<f64>], ys: &[f64], config: &TreeConfig) -> RegressionTree {
+        let num_features = xs[0].len();
+        let mut tree = RegressionTree {
+            nodes: Vec::new(),
+            num_features,
+            importances: vec![0.0; num_features],
+            parallelism: config.parallelism,
+        };
+        tree.build(xs, ys, (0..xs.len()).collect(), 0, config);
+        let total: f64 = tree.importances.iter().sum();
+        if total > 0.0 {
+            for imp in &mut tree.importances {
+                *imp /= total;
+            }
+        }
+        tree
+    }
+
+    impl RegressionTree {
+        /// Builds a subtree over `indices` and returns its node id.
+        fn build(
+            &mut self,
+            xs: &[Vec<f64>],
+            ys: &[f64],
+            indices: Vec<usize>,
+            depth: usize,
+            config: &TreeConfig,
+        ) -> usize {
+            let n = indices.len();
+            let mean = indices.iter().map(|&i| ys[i]).sum::<f64>() / n as f64;
+            let sse: f64 = indices.iter().map(|&i| (ys[i] - mean) * (ys[i] - mean)).sum();
+            let make_leaf = |this: &mut Self| {
+                this.nodes.push(Node::Leaf { value: mean, samples: n });
+                this.nodes.len() - 1
+            };
+            if depth >= config.max_depth || n < config.min_samples_split || sse <= 1e-12 {
+                return make_leaf(self);
+            }
+            let Some(best) = self.best_split(xs, ys, &indices, sse, config) else {
+                return make_leaf(self);
+            };
+            // Partition and recurse.
+            let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
+            for &i in &indices {
+                if xs[i][best.feature] < best.threshold {
+                    left_idx.push(i);
+                } else {
+                    right_idx.push(i);
+                }
+            }
+            self.importances[best.feature] += best.improvement;
+            let node_id = self.nodes.len();
+            self.nodes.push(Node::Split {
+                feature: best.feature,
+                threshold: best.threshold,
+                value: mean,
+                samples: n,
+                left: 0,
+                right: 0,
+            });
+            let left = self.build(xs, ys, left_idx, depth + 1, config);
+            let right = self.build(xs, ys, right_idx, depth + 1, config);
+            if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_id] {
+                *l = left;
+                *r = right;
+            }
+            node_id
+        }
+
+        /// Finds the SSE-minimizing split (Eq. 8) over all features and
+        /// thresholds, or `None` if no admissible split improves enough.
+        ///
+        /// Candidate features are evaluated independently (in parallel for
+        /// large nodes) and folded in feature order with a strictly-greater
+        /// comparison, so ties keep the lowest feature index — exactly what a
+        /// sequential scan over `0..num_features` produces.
+        fn best_split(
+            &self,
+            xs: &[Vec<f64>],
+            ys: &[f64],
+            indices: &[usize],
+            parent_sse: f64,
+            config: &TreeConfig,
+        ) -> Option<BestSplit> {
+            let par = if indices.len() * self.num_features >= PAR_SPLIT_MIN_CELLS {
+                config.parallelism
+            } else {
+                Parallelism::Sequential
+            };
+            let features: Vec<usize> = (0..self.num_features).collect();
+            let per_feature = par_map_indexed(par, &features, |_, &feature| {
+                best_split_for_feature(xs, ys, indices, parent_sse, config, feature)
+            });
+            let mut best: Option<BestSplit> = None;
+            for candidate in per_feature.into_iter().flatten() {
+                if best.as_ref().is_none_or(|b| candidate.improvement > b.improvement) {
+                    best = Some(candidate);
+                }
+            }
+            best
+        }
+    }
+
+    /// The best admissible split on one feature: sort the node's samples by
+    /// the feature, then scan candidate partitions with prefix sums for O(1)
+    /// SSE of each side (SSE = Σy² − (Σy)²/n). Ties keep the earliest
+    /// candidate position (strictly-greater comparison).
+    fn best_split_for_feature(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        indices: &[usize],
+        parent_sse: f64,
+        config: &TreeConfig,
+        feature: usize,
+    ) -> Option<BestSplit> {
+        let n = indices.len();
+        let mut order: Vec<usize> = indices.to_vec();
+        order.sort_by(|&a, &b| {
+            xs[a][feature].partial_cmp(&xs[b][feature]).expect("finite features")
+        });
+        let mut left_sum = 0.0;
+        let mut left_sq = 0.0;
+        let total_sum: f64 = order.iter().map(|&i| ys[i]).sum();
+        let total_sq: f64 = order.iter().map(|&i| ys[i] * ys[i]).sum();
+        let mut best: Option<BestSplit> = None;
+        for split_at in 1..n {
+            let i = order[split_at - 1];
+            left_sum += ys[i];
+            left_sq += ys[i] * ys[i];
+            // Can't split between equal feature values.
+            let lo = xs[order[split_at - 1]][feature];
+            let hi = xs[order[split_at]][feature];
+            if hi <= lo {
+                continue;
+            }
+            if split_at < config.min_samples_leaf || n - split_at < config.min_samples_leaf {
+                continue;
+            }
+            let right_sum = total_sum - left_sum;
+            let right_sq = total_sq - left_sq;
+            let left_sse = left_sq - left_sum * left_sum / split_at as f64;
+            let right_sse = right_sq - right_sum * right_sum / (n - split_at) as f64;
+            let improvement = parent_sse - left_sse - right_sse;
+            if improvement < config.min_impurity_decrease {
+                continue;
+            }
+            if best.as_ref().is_none_or(|b| improvement > b.improvement) {
+                best = Some(BestSplit { feature, threshold: (lo + hi) / 2.0, improvement });
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
@@ -1233,6 +1244,20 @@ mod tests {
         assert!(RegressionTree::fit(&ragged, &[1.0, 2.0], &TreeConfig::default()).is_err());
         let bad = TreeConfig { min_impurity_decrease: -1.0, ..TreeConfig::default() };
         assert!(RegressionTree::fit(&xs, &[1.0, 2.0], &bad).is_err());
+        // The adapter's contract order: config, then emptiness, then shape.
+        assert!(matches!(RegressionTree::fit(&[], &[1.0], &bad), Err(TreeError::InvalidConfig(_))));
+        assert_eq!(
+            RegressionTree::fit(&[vec![]], &[1.0, 2.0], &TreeConfig::default()),
+            Err(TreeError::EmptyInput)
+        );
+        assert_eq!(
+            RegressionTree::fit(&ragged, &[1.0], &TreeConfig::default()),
+            Err(TreeError::DimensionMismatch { expected: 2, actual: 1 })
+        );
+        assert_eq!(
+            RegressionTree::fit(&ragged, &[1.0, 2.0], &TreeConfig::default()),
+            Err(TreeError::DimensionMismatch { expected: 1, actual: 2 })
+        );
     }
 
     #[test]
@@ -1292,7 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_columns_is_bit_identical_to_fit() {
+    fn fit_columns_is_bit_identical_to_the_classic_scan() {
         // Heavy ties (quantized values) exercise the stable-order argument;
         // several shapes exercise depth limits and leaf minima.
         let mut state = 0x2015_115Cu64;
@@ -1307,9 +1332,10 @@ mod tests {
                 TreeConfig::default().with_min_samples_split(2).with_min_samples_leaf(1),
                 TreeConfig::default().with_max_depth(3),
             ] {
-                let classic = RegressionTree::fit(&xs, &ys, &config).unwrap();
+                let classic = classic::fit(&xs, &ys, &config);
                 let columnar = RegressionTree::fit_columns(&matrix, &ys, &config).unwrap();
                 assert_eq!(columnar, classic, "rows={rows} quantum={quantum} {config:?}");
+                assert_eq!(RegressionTree::fit(&xs, &ys, &config).unwrap(), classic);
             }
         }
     }
