@@ -11,6 +11,7 @@
 //! entry saying what moved and why (see `tests/README.md`).
 
 use dds::prelude::*;
+use dds_cluster::{Svc, SvcConfig};
 use dds_core::categorize::{Categorization, CategorizationConfig, Categorizer};
 use dds_core::columnar::FleetColumns;
 use dds_core::degradation::{DegradationAnalyzer, DriveDegradation, GroupDegradation};
@@ -448,4 +449,81 @@ fn fallback_live_rmse_is_pinned() {
         "score_prior_rmse, seed {seed}: {live} ({:#018x}) does not match the pin",
         live.to_bits()
     );
+}
+
+/// The categorizer's SVC cross-check sweeps these multiples of the
+/// data-driven base width.
+const SVC_SWEEP: [f64; 7] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+
+const SVC_SWEEP_PINS: [(u64, u64); 6] = [
+    (11, 0x7915_55a9_e196_5602),
+    (4242, 0x69b1_d566_7bb9_f5f1),
+    (987_654_321, 0x0ed2_f151_d09b_54e3),
+    (7, 0xecfb_63f2_0d8c_9fa6),
+    (23, 0x8115_e70d_4b01_1ce2),
+    (1051, 0x62a0_2ec4_5816_e83c),
+];
+
+#[test]
+fn svc_sweep_fits_are_pinned() {
+    // The categorizer's inputs: the scaled failure features and its seed.
+    let categorizer_seed = CategorizationConfig::default().seed;
+    for seed in SEEDS {
+        let dataset = fleet(seed);
+        let records = FailureRecordSet::extract(&dataset, 24).expect("failure records");
+        let points = records.scaled_features();
+        let base = dds_cluster::svc::suggest_gamma(points).expect("base width");
+        let got = hash(|h| {
+            for factor in SVC_SWEEP {
+                let svc = Svc::new(
+                    SvcConfig::new().with_seed(categorizer_seed).with_gamma(base * factor),
+                )
+                .fit(points)
+                .expect("svc fit");
+                h.usize(svc.labels().len());
+                for &label in svc.labels() {
+                    h.usize(label);
+                }
+                h.usize(svc.num_clusters());
+                h.f64(svc.radius_squared());
+                h.f64(svc.gamma());
+                h.usize(svc.support_vectors().len());
+                for &i in svc.support_vectors() {
+                    h.usize(i);
+                }
+            }
+        });
+        check("Svc::fit sweep", &SVC_SWEEP_PINS, seed, got);
+    }
+}
+
+/// `(clusters, adjusted Rand index bits)` of the categorizer's SVC
+/// agreement from a test-scale `Analysis::train` with SVC on.
+const SVC_AGREEMENT_PINS: [(u64, (usize, u64)); 6] = [
+    (11, (3, 0x3ff0_0000_0000_0000)),
+    (4242, (3, 0x3fed_40fb_9b2c_2b7a)),
+    (987_654_321, (5, 0x3fef_331b_5b9e_acff)),
+    (7, (3, 0x3ff0_0000_0000_0000)),
+    (23, (4, 0x3fef_e419_a6fd_ed49)),
+    (1051, (3, 0x3ff0_0000_0000_0000)),
+];
+
+#[test]
+fn svc_agreement_is_pinned() {
+    let config = AnalysisConfig::default();
+    assert!(config.categorization.run_svc, "SVC is on by default");
+    for seed in SEEDS {
+        let (report, _) =
+            Analysis::new(config.clone()).train(&fleet(seed), &ctx(seed)).expect("train");
+        let agreement = report.categorization.svc_agreement().expect("svc ran");
+        let got = (agreement.svc_clusters, agreement.rand_index.to_bits());
+        let expected = SVC_AGREEMENT_PINS.iter().find(|&&(s, _)| s == seed).map(|&(_, p)| p);
+        assert_eq!(
+            Some(got),
+            expected,
+            "svc_agreement, seed {seed}: ({}, {:#018x}) does not match the pin",
+            got.0,
+            got.1
+        );
+    }
 }
