@@ -390,8 +390,7 @@ impl OnlineTrainer {
                         .score_prior_rmse(p, &dataset, &report)
                         .ok()
                 });
-                let training =
-                    p.groups.iter().map(|g| g.rmse).sum::<f64>() / p.groups.len() as f64;
+                let training = p.groups.iter().map(|g| g.rmse).sum::<f64>() / p.groups.len() as f64;
                 (live, Some(training))
             }
             _ => (None, None),

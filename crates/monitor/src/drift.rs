@@ -619,8 +619,8 @@ mod tests {
     fn baseline_carries_training_rmse_from_the_bundle() {
         let bundle = bundle(4_012);
         let baseline = DriftBaseline::from_bundle(&bundle, 0.0);
-        let expected = bundle.groups().iter().map(|g| g.rmse).sum::<f64>()
-            / bundle.groups().len() as f64;
+        let expected =
+            bundle.groups().iter().map(|g| g.rmse).sum::<f64>() / bundle.groups().len() as f64;
         assert_eq!(baseline.training_rmse().unwrap().to_bits(), expected.to_bits());
     }
 
