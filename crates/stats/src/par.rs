@@ -11,6 +11,8 @@
 //! - [`par_map_indexed`] assigns output slot `i` to input `i`; workers
 //!   own disjoint contiguous ranges, so the assembled output never
 //!   depends on scheduling.
+//! - [`par_map_queued`] has workers claim items one at a time from a
+//!   shared counter; each result still lands in its item's slot.
 //! - [`par_chunks_reduce`] folds **fixed-size chunks** (the chunk size is
 //!   a caller-supplied constant, never derived from the thread count) and
 //!   combines the per-chunk partials left-to-right in chunk order. A
@@ -26,6 +28,7 @@
 //! construction.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How much parallelism a computation may use.
 ///
@@ -137,6 +140,49 @@ where
         }
     });
     out
+}
+
+/// Maps `f` over `items` like [`par_map_indexed`], but workers claim one
+/// item at a time, in index order, from a shared counter instead of
+/// owning fixed ranges.
+///
+/// Suited to a few items of very uneven cost: listed costliest first,
+/// they keep every worker busy until the queue runs dry, where fixed
+/// ranges could hand one worker all the expensive ones. Output order
+/// always matches input order.
+pub fn par_map_queued<T, U, F>(par: Parallelism, items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    let threads = par.effective_threads().min(items.len());
+    if threads <= 1 {
+        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break done };
+                        done.push((i, f(i, item)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, value) in handle.join().expect("queued map worker panicked") {
+                slots[i] = Some(value);
+            }
+        }
+    });
+    slots.into_iter().map(|slot| slot.expect("every item is claimed once")).collect()
 }
 
 /// Generates `out[i] = f(i)` for `i in 0..len` — [`par_map_indexed`]
@@ -288,6 +334,18 @@ mod tests {
             let got = par_map_indexed(mode, &items, |i, &x| x * 2 + i as u64);
             assert_eq!(got, expected, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn queued_map_preserves_order_in_every_mode() {
+        // Uneven costs, so workers finish out of order.
+        let items: Vec<u64> = (0..61).collect();
+        let work = |i: usize, &x: &u64| (0..(x % 7) * 1_000).fold(x + i as u64, |a, b| a ^ b);
+        let expected: Vec<u64> = items.iter().enumerate().map(|(i, x)| work(i, x)).collect();
+        for mode in MODES {
+            assert_eq!(par_map_queued(mode, &items, work), expected, "{mode:?}");
+        }
+        assert!(par_map_queued(Parallelism::Auto, &[] as &[u64], work).is_empty());
     }
 
     #[test]
