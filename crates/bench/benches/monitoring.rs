@@ -2,7 +2,7 @@
 //! whole-fleet replay throughput.
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dds_core::categorize::CategorizationConfig;
-use dds_core::{Analysis, AnalysisConfig};
+use dds_core::{Analysis, AnalysisConfig, TrainingContext};
 use dds_monitor::{FleetMonitor, ModelBundle, MonitorConfig};
 use dds_smartsim::{FleetConfig, FleetSimulator};
 use std::hint::black_box;
@@ -13,8 +13,8 @@ fn bench_monitor(c: &mut Criterion) {
         categorization: CategorizationConfig { run_svc: false, ..Default::default() },
         ..Default::default()
     };
-    let report = Analysis::new(config).run(&training).unwrap();
-    let bundle = ModelBundle::from_analysis(&training, &report);
+    let (_, model) = Analysis::new(config).train(&training, &TrainingContext::default()).unwrap();
+    let bundle = ModelBundle::from_trained(&model).unwrap();
     let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(24)).run();
     let drive = live.failed_drives().next().unwrap();
 

@@ -32,7 +32,7 @@
 
 use dds_bench::{Scale, EXPERIMENT_SEED};
 use dds_core::categorize::CategorizationConfig;
-use dds_core::{Analysis, AnalysisConfig};
+use dds_core::{Analysis, AnalysisConfig, TrainingContext};
 use dds_monitor::{ModelBundle, MonitorConfig, ShardedFleetMonitor};
 use dds_smartsim::stream::hour_ordered;
 use dds_smartsim::{DriveId, FleetSimulator, HealthRecord};
@@ -94,8 +94,10 @@ fn main() {
         categorization: CategorizationConfig { run_svc: false, ..Default::default() },
         ..Default::default()
     };
-    let report = Analysis::new(analysis_config).run(&training).expect("training analysis");
-    let bundle = ModelBundle::from_analysis(&training, &report);
+    let (_, model) = Analysis::new(analysis_config)
+        .train(&training, &TrainingContext::default())
+        .expect("training analysis");
+    let bundle = ModelBundle::from_trained(&model).expect("bundle");
 
     // The live base fleet, split into hour runs (the stream is
     // hour-major; drives sample on offset cadences, so a fleet-hour run

@@ -3,7 +3,7 @@
 //! detection coverage, alert lead times and good-drive alert rates per
 //! failure type.
 use dds_bench::{section, Scale, EXPERIMENT_SEED};
-use dds_core::{Analysis, AnalysisConfig};
+use dds_core::{Analysis, AnalysisConfig, TrainingContext};
 use dds_monitor::{AlertKind, FleetMonitor, ModelBundle, MonitorConfig, Severity};
 use dds_smartsim::{FailureMode, FleetSimulator};
 
@@ -11,9 +11,10 @@ fn main() {
     let scale = Scale::from_args();
     eprintln!("[dds] training on {} ...", scale.label());
     let training = FleetSimulator::new(scale.fleet_config().with_seed(EXPERIMENT_SEED)).run();
-    let report =
-        Analysis::new(AnalysisConfig::default()).run(&training).expect("training analysis");
-    let bundle = ModelBundle::from_analysis(&training, &report);
+    let (_, model) = Analysis::new(AnalysisConfig::default())
+        .train(&training, &TrainingContext::default())
+        .expect("training analysis");
+    let bundle = ModelBundle::from_trained(&model).expect("bundle");
 
     eprintln!("[dds] monitoring a fresh fleet ...");
     let live = FleetSimulator::new(scale.fleet_config().with_seed(EXPERIMENT_SEED ^ 0xFF)).run();

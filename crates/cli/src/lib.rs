@@ -14,7 +14,7 @@
 //! dependency); every subcommand is a pure function from parsed options to
 //! an output string, which keeps the tool fully unit-testable.
 //!
-//! Every subcommand also accepts the observability flags
+//! Every subcommand but `top` also accepts the observability flags
 //! `--trace-level <level>` (pretty spans on stderr), `--trace-json <path>`
 //! (JSON-lines span/event log) and `--metrics <path>` (JSON metrics
 //! snapshot written after the run); see `docs/OPERATIONS.md`. `dds serve`
@@ -29,15 +29,14 @@ pub mod serve;
 pub mod signal;
 pub mod top;
 
-use dds_chaos::{ChaosEngine, ChaosSpec};
+use dds_chaos::{ChaosEngine, ChaosSpec, FaultCounts};
 use dds_core::categorize::CategorizationConfig;
 use dds_core::{
-    report, sanitize_profiles, Analysis, AnalysisConfig, QualityPolicy, TrainingContext,
-    MODEL_FORMAT_VERSION,
+    report, sanitize_profiles, Analysis, AnalysisConfig, QualityPolicy, QualityStats,
+    TrainingContext, MODEL_FORMAT_VERSION,
 };
 use dds_monitor::{
-    AlertHistory, FleetMonitor, ModelBundle, MonitorConfig, MonitorService, Severity,
-    ShardedFleetMonitor,
+    Alert, AlertHistory, FleetMonitor, ModelBundle, MonitorConfig, MonitorService, Severity,
 };
 use dds_obs::http::HttpServer;
 use dds_obs::profile::StageProfiler;
@@ -269,9 +268,6 @@ pub enum Command {
         threads: usize,
         /// Expose the scrape endpoints on this address during the run.
         listen: Option<String>,
-        /// Hash drives across this many monitor shards (1 = the classic
-        /// sequential replay; alerts then sort by (hour, drive id)).
-        shards: usize,
         /// Fault injection applied to the live stream.
         chaos: ChaosOptions,
         /// Observability flags.
@@ -341,7 +337,6 @@ USAGE:
   dds simulate --out <fleet.csv> [--scale test|bench|consumer|paper] [--seed N] [--threads N]
   dds analyze <fleet.csv> [--full-report] [--k N] [--threads N]
   dds monitor --train <fleet.csv> --live <fleet.csv> [--limit N] [--threads N] [--listen ADDR]
-              [--shards N]
   dds pipeline [--scale test|bench|consumer|paper] [--seed N] [--threads N] [--listen ADDR]
   dds train --save-model <model.dds> [--input <fleet.csv>] [--scale S] [--seed N] [--threads N]
   dds predict --model <model.dds> --live <fleet.csv> [--limit N]
@@ -363,8 +358,9 @@ fleets; serve corrupts the ingest epochs. Corrupted records flow through
 the data-quality gate (quarantine + imputation) instead of panicking, and
 the same --chaos/--chaos-seed pair replays bit-identically.
 
-Every subcommand accepts --threads N: 0 (the default) uses all cores,
-1 forces sequential execution; results are identical either way.
+simulate, analyze, monitor, pipeline, train and serve accept --threads N:
+0 (the default) uses all cores, 1 forces sequential execution; results
+are identical either way.
 
 Model artifacts (see docs/OPERATIONS.md \"Model artifacts\"):
   dds train runs the full analysis once and saves a versioned, checksummed
@@ -403,9 +399,8 @@ Sharded serving (see docs/SCALING.md):
   /metrics and /healthz are byte-identical at any shard count. External
   collectors POST record batches (binary DDSB or CSV chunks) to /ingest;
   --ingest-queue N bounds the queue (default 256 batches), and a full
-  queue sheds the batch with a 429 receipt instead of blocking. On
-  monitor, --shards N replays the live fleet through the same sharded
-  path (alerts sort by hour, then drive id).
+  queue sheds the batch with a 429 receipt instead of blocking.
+  --shards and --ingest-queue are serve-only.
 
 Online learning (see docs/OPERATIONS.md \"Online refit & promotion\"):
   serve always watches the live stream for drift against the serving
@@ -420,7 +415,7 @@ Online learning (see docs/OPERATIONS.md \"Online refit & promotion\"):
   stream is untouched). Under --model, a promotion also persists the
   candidate artifact to that path atomically.
 
-Observability (any subcommand; see docs/OPERATIONS.md):
+Observability (every subcommand but top; see docs/OPERATIONS.md):
   --trace-level trace|debug|info|warn|error   pretty-print spans to stderr
   --trace-json <path>                         write spans/events as JSON lines
   --metrics <path>                            write a JSON metrics snapshot
@@ -525,7 +520,6 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
             let mut limit = 20usize;
             let mut threads = 0usize;
             let mut listen = None;
-            let mut shards = 1usize;
             let mut chaos = ChaosOptions::default();
             let mut obs = ObsOptions::default();
             while let Some(arg) = iter.next() {
@@ -542,13 +536,12 @@ pub fn parse(args: Vec<String>) -> Result<Command, Box<dyn Error>> {
                     }
                     "--threads" => threads = parse_threads(&take_value(&mut iter, "--threads")?)?,
                     "--listen" => listen = Some(take_value(&mut iter, "--listen")?),
-                    "--shards" => shards = parse_shards(&take_value(&mut iter, "--shards")?)?,
                     other => return Err(CliError::boxed(format!("unknown flag {other:?}"))),
                 }
             }
             let train = train.ok_or_else(|| CliError::boxed("monitor requires --train <path>"))?;
             let live = live.ok_or_else(|| CliError::boxed("monitor requires --live <path>"))?;
-            Ok(Command::Monitor { train, live, limit, threads, listen, shards, chaos, obs })
+            Ok(Command::Monitor { train, live, limit, threads, listen, chaos, obs })
         }
         "pipeline" => {
             let mut scale = "test".to_string();
@@ -760,6 +753,16 @@ fn load(path: &PathBuf) -> Result<Dataset, Box<dyn Error>> {
     Ok(read_csv(file)?)
 }
 
+/// Provenance for a model this binary trains: `scale` names the preset or
+/// the input CSV.
+fn training_context(seed: u64, scale: String) -> TrainingContext {
+    TrainingContext {
+        seed,
+        scale,
+        git_sha: option_env!("DDS_GIT_SHA").unwrap_or("unknown").to_string(),
+    }
+}
+
 fn analysis_config(k: Option<usize>, threads: usize) -> AnalysisConfig {
     AnalysisConfig {
         categorization: CategorizationConfig { fixed_k: k, ..Default::default() },
@@ -805,21 +808,91 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
     }
 }
 
-/// Binds the batch-mode scrape server (`--listen` on monitor/pipeline),
-/// serving the shared history/health while the batch run proceeds.
+/// Binds the batch-mode scrape server (`--listen` on monitor/pipeline)
+/// once the model is trained, so it answers ready from the start; returns
+/// it with the alert history the replay records into.
 fn batch_server(
     listen: &str,
-    history: Arc<AlertHistory>,
-    health: Arc<HealthState>,
     profiler: Option<Arc<StageProfiler>>,
-) -> Result<HttpServer, Box<dyn Error>> {
+) -> Result<(HttpServer, Arc<AlertHistory>), Box<dyn Error>> {
     register_build_info(dds_obs::metrics::global());
-    let mut service = MonitorService::new(history, health);
+    let history = Arc::new(AlertHistory::default());
+    let health = HealthState::new();
+    health.set_ready(true);
+    let mut service = MonitorService::new(Arc::clone(&history), health);
     if let Some(profiler) = profiler {
         service = service.with_profiler(profiler);
     }
-    HttpServer::bind(listen, 2, Arc::new(service))
-        .map_err(|e| CliError::boxed(format!("cannot listen on {listen}: {e}")))
+    let server = HttpServer::bind(listen, 2, Arc::new(service))
+        .map_err(|e| CliError::boxed(format!("cannot listen on {listen}: {e}")))?;
+    Ok((server, history))
+}
+
+/// A live fleet replayed through a fresh monitor.
+struct Replay {
+    /// Every alert, stably sorted by hour.
+    alerts: Vec<Alert>,
+    /// Faults injected into the live stream; `None` without chaos.
+    faults: Option<FaultCounts>,
+    /// The monitor's data-quality tallies.
+    quality: QualityStats,
+}
+
+impl Replay {
+    fn critical(&self) -> usize {
+        self.alerts.iter().filter(|a| a.severity == Severity::Critical).count()
+    }
+}
+
+/// Replays every live drive, in fleet order, through a monitor built on
+/// `bundle` — corrupted first (and the faults published) when `chaos` is
+/// set, recording alerts into `history` when given. The one batch replay
+/// path of `monitor`, `pipeline` and `predict`.
+fn replay_live(
+    bundle: ModelBundle,
+    live: &Dataset,
+    chaos: Option<&ChaosEngine>,
+    history: Option<Arc<AlertHistory>>,
+) -> Replay {
+    let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
+    if let Some(history) = history {
+        monitor = monitor.with_history(history);
+    }
+    let mut alerts = Vec::new();
+    let faults = match chaos {
+        Some(engine) => {
+            let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, live);
+            engine.publish(&faults);
+            for profile in &raw {
+                alerts.extend(monitor.replay(profile.id, &profile.records));
+            }
+            Some(faults)
+        }
+        None => {
+            for drive in live.drives() {
+                alerts.extend(monitor.replay(drive.id(), drive.records()));
+            }
+            None
+        }
+    };
+    alerts.sort_by_key(|a| a.hour);
+    Replay { alerts, faults, quality: *monitor.quality_stats() }
+}
+
+/// The alert list `monitor` and `predict` print: a count line, the first
+/// `limit` alerts, and the critical total.
+fn render_alerts(replay: &Replay, live: &Dataset, limit: usize) -> String {
+    let mut out = format!(
+        "{} alerts over {} drives ({} failed); showing up to {limit}:\n",
+        replay.alerts.len(),
+        live.drives().len(),
+        live.failed_drives().count()
+    );
+    for alert in replay.alerts.iter().take(limit) {
+        out.push_str(&format!("  {alert}\n"));
+    }
+    out.push_str(&format!("{} critical alerts in total\n", replay.critical()));
+    out
 }
 
 fn run_inner(
@@ -864,88 +937,25 @@ fn run_inner(
                 Ok(out)
             }
         }
-        Command::Monitor { train, live, limit, threads, listen, shards, chaos, obs: _ } => {
+        Command::Monitor { train, live, limit, threads, listen, chaos, obs: _ } => {
             let training = load(&train)?;
-            let analysis = Analysis::new(analysis_config(None, threads)).run(&training)?;
-            let bundle = ModelBundle::from_analysis(&training, &analysis);
+            let ctx = training_context(0, format!("csv:{}", train.display()));
+            let (_, model) =
+                Analysis::new(analysis_config(None, threads)).train(&training, &ctx)?;
+            let bundle = ModelBundle::from_trained(&model)?;
             let live_fleet = load(&live)?;
-            let history = Arc::new(AlertHistory::default());
-            let health = HealthState::new();
-            let server = listen
-                .as_deref()
-                .map(|addr| batch_server(addr, Arc::clone(&history), Arc::clone(&health), profiler))
-                .transpose()?;
-            health.set_ready(true);
-            let mut alerts = Vec::new();
-            let mut live_faults = None;
-            let quality;
-            if shards > 1 {
-                // Sharded replay: concatenate per-drive histories into one
-                // batch (a drive's records stay in order), fan it across
-                // the shards, and take the coordinator's (hour, drive id)
-                // merged alert stream.
-                let mut monitor =
-                    ShardedFleetMonitor::new(bundle, MonitorConfig::default(), shards)
-                        .with_history(Arc::clone(&history));
-                let mut batch = Vec::new();
-                match chaos.engine() {
-                    Some(engine) => {
-                        let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, &live_fleet);
-                        engine.publish(&faults);
-                        live_faults = Some(faults);
-                        for profile in &raw {
-                            batch.extend(profile.records.iter().map(|r| (profile.id, r.clone())));
-                        }
-                    }
-                    None => {
-                        for drive in live_fleet.drives() {
-                            batch.extend(drive.records().iter().map(|r| (drive.id(), r.clone())));
-                        }
-                    }
-                }
-                alerts = monitor.ingest_batch(&batch);
-                quality = monitor.quality_stats();
-            } else {
-                let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default())
-                    .with_history(Arc::clone(&history));
-                match chaos.engine() {
-                    Some(engine) => {
-                        let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, &live_fleet);
-                        engine.publish(&faults);
-                        live_faults = Some(faults);
-                        for profile in &raw {
-                            alerts.extend(monitor.replay(profile.id, &profile.records));
-                        }
-                    }
-                    None => {
-                        for drive in live_fleet.drives() {
-                            alerts.extend(monitor.replay(drive.id(), drive.records()));
-                        }
-                    }
-                }
-                quality = *monitor.quality_stats();
-            }
-            alerts.sort_by_key(|a| a.hour);
-            let mut out = String::new();
-            out.push_str(&format!(
-                "{} alerts over {} drives ({} failed); showing up to {limit}:\n",
-                alerts.len(),
-                live_fleet.drives().len(),
-                live_fleet.failed_drives().count()
-            ));
-            for alert in alerts.iter().take(limit) {
-                out.push_str(&format!("  {alert}\n"));
-            }
-            let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
-            out.push_str(&format!("{critical} critical alerts in total\n"));
-            if let Some(faults) = live_faults {
+            let server = listen.as_deref().map(|addr| batch_server(addr, profiler)).transpose()?;
+            let history = server.as_ref().map(|(_, history)| Arc::clone(history));
+            let replay = replay_live(bundle, &live_fleet, chaos.engine().as_ref(), history);
+            let mut out = render_alerts(&replay, &live_fleet, limit);
+            if let Some(faults) = replay.faults {
                 out.push_str(&format!(
                     "chaos {} (seed {}): {faults} faults injected into the live stream\n\
-                     live quality: {quality}\n",
-                    chaos.spec, chaos.seed,
+                     live quality: {}\n",
+                    chaos.spec, chaos.seed, replay.quality,
                 ));
             }
-            if let Some(server) = server {
+            if let Some((server, _)) = server {
                 server.shutdown();
             }
             Ok(out)
@@ -972,53 +982,32 @@ fn run_inner(
                 }
                 None => simulated,
             };
-            let analysis = Analysis::new(analysis_config(None, threads)).run(&training)?;
-            let bundle = ModelBundle::from_analysis(&training, &analysis);
-            let history = Arc::new(AlertHistory::default());
-            let health = HealthState::new();
-            let server = listen
-                .as_deref()
-                .map(|addr| batch_server(addr, Arc::clone(&history), Arc::clone(&health), profiler))
-                .transpose()?;
+            let ctx = training_context(seed, scale.clone());
+            let (analysis, model) =
+                Analysis::new(analysis_config(None, threads)).train(&training, &ctx)?;
+            let bundle = ModelBundle::from_trained(&model)?;
             // An independent live fleet: same scale, derived seed.
             let live_seed = seed.wrapping_add(1);
             let live_fleet = FleetSimulator::new(
                 fleet_config(&scale).with_seed(live_seed).with_parallelism(par),
             )
             .run();
-            let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default())
-                .with_history(Arc::clone(&history));
-            health.set_ready(true);
-            let mut alerts = Vec::new();
-            let mut live_faults = None;
-            match &engine {
-                Some(engine) => {
-                    let (raw, faults) = engine.corrupt_dataset(LIVE_SALT, &live_fleet);
-                    engine.publish(&faults);
-                    live_faults = Some(faults);
-                    for profile in &raw {
-                        alerts.extend(monitor.replay(profile.id, &profile.records));
-                    }
-                }
-                None => {
-                    for drive in live_fleet.drives() {
-                        alerts.extend(monitor.replay(drive.id(), drive.records()));
-                    }
-                }
-            }
-            let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
-            if let Some(server) = server {
+            let server = listen.as_deref().map(|addr| batch_server(addr, profiler)).transpose()?;
+            let history = server.as_ref().map(|(_, history)| Arc::clone(history));
+            let replay = replay_live(bundle, &live_fleet, engine.as_ref(), history);
+            if let Some((server, _)) = server {
                 server.shutdown();
             }
             let mut out = format!(
                 "trained on {} drives (seed {seed}): {} failure groups\n\
-                 monitored {} drives (seed {live_seed}): {} alerts, {critical} critical\n",
+                 monitored {} drives (seed {live_seed}): {} alerts, {} critical\n",
                 training.drives().len(),
                 analysis.categorization.num_groups(),
                 live_fleet.drives().len(),
-                alerts.len(),
+                replay.alerts.len(),
+                replay.critical(),
             );
-            if let (Some(train_faults), Some(live_faults)) = (train_faults, live_faults) {
+            if let (Some(train_faults), Some(live_faults)) = (train_faults, replay.faults) {
                 out.push_str(&format!(
                     "chaos {} (seed {}): {train_faults} train faults, {live_faults} live faults\n",
                     chaos.spec, chaos.seed,
@@ -1026,30 +1015,20 @@ fn run_inner(
                 if let Some(stats) = &train_quality {
                     out.push_str(&format!("training quality: {stats}\n"));
                 }
-                out.push_str(&format!("live quality: {}\n", monitor.quality_stats()));
+                out.push_str(&format!("live quality: {}\n", replay.quality));
             }
             Ok(out)
         }
         Command::Train { scale, seed, input, save_model, threads, obs: _ } => {
             let (training, ctx) = match &input {
                 Some(path) => {
-                    let ctx = TrainingContext {
-                        seed,
-                        scale: format!("csv:{}", path.display()),
-                        git_sha: option_env!("DDS_GIT_SHA").unwrap_or("unknown").to_string(),
-                    };
-                    (load(path)?, ctx)
+                    (load(path)?, training_context(seed, format!("csv:{}", path.display())))
                 }
                 None => {
                     let config = fleet_config(&scale)
                         .with_seed(seed)
                         .with_parallelism(Parallelism::from_thread_count(threads));
-                    let ctx = TrainingContext {
-                        seed,
-                        scale: scale.clone(),
-                        git_sha: option_env!("DDS_GIT_SHA").unwrap_or("unknown").to_string(),
-                    };
-                    (FleetSimulator::new(config).run(), ctx)
+                    (FleetSimulator::new(config).run(), training_context(seed, scale.clone()))
                 }
             };
             let (analysis, model) =
@@ -1078,12 +1057,7 @@ fn run_inner(
             let bundle = ModelBundle::from_trained(&trained)
                 .map_err(|e| CliError(format!("model {}: {e}", model.display())))?;
             let live_fleet = load(&live)?;
-            let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
-            let mut alerts = Vec::new();
-            for drive in live_fleet.drives() {
-                alerts.extend(monitor.replay(drive.id(), drive.records()));
-            }
-            alerts.sort_by_key(|a| a.hour);
+            let replay = replay_live(bundle, &live_fleet, None, None);
             // One header line, then a body byte-identical to `dds monitor`
             // trained on the same fleet (the warm-start guarantee).
             let mut out = format!(
@@ -1094,17 +1068,7 @@ fn run_inner(
                 trained.meta.scale,
                 MODEL_FORMAT_VERSION,
             );
-            out.push_str(&format!(
-                "{} alerts over {} drives ({} failed); showing up to {limit}:\n",
-                alerts.len(),
-                live_fleet.drives().len(),
-                live_fleet.failed_drives().count()
-            ));
-            for alert in alerts.iter().take(limit) {
-                out.push_str(&format!("  {alert}\n"));
-            }
-            let critical = alerts.iter().filter(|a| a.severity == Severity::Critical).count();
-            out.push_str(&format!("{critical} critical alerts in total\n"));
+            out.push_str(&render_alerts(&replay, &live_fleet, limit));
             Ok(out)
         }
         Command::Serve(options) => {
@@ -1204,7 +1168,6 @@ mod tests {
                 limit: 5,
                 threads: 0,
                 listen: None,
-                shards: 1,
                 chaos: ChaosOptions::default(),
                 obs: ObsOptions::default(),
             }
@@ -1219,10 +1182,6 @@ mod tests {
         assert_eq!(options.shards, 4);
         assert_eq!(options.ingest_queue, 32);
 
-        let cmd =
-            parse(argv(&["monitor", "--train", "a", "--live", "b", "--shards", "8"])).unwrap();
-        assert!(matches!(cmd, Command::Monitor { shards: 8, .. }));
-
         // Defaults: one shard, 256 queued batches.
         let Command::Serve(defaults) = parse(argv(&["serve"])).unwrap() else {
             panic!("expected serve")
@@ -1234,8 +1193,10 @@ mod tests {
         assert!(parse(argv(&["serve", "--shards", "0"])).is_err());
         assert!(parse(argv(&["serve", "--shards", "many"])).is_err());
         assert!(parse(argv(&["serve", "--ingest-queue", "0"])).is_err());
-        assert!(parse(argv(&["monitor", "--train", "a", "--live", "b", "--shards", "0"])).is_err());
-        // --ingest-queue is serve-only.
+        // --shards and --ingest-queue are serve-only.
+        let err =
+            parse(argv(&["monitor", "--train", "a", "--live", "b", "--shards", "2"])).unwrap_err();
+        assert!(err.to_string().contains("unknown flag"), "{err}");
         assert!(parse(argv(&["monitor", "--train", "a", "--live", "b", "--ingest-queue", "4"]))
             .is_err());
     }

@@ -2,8 +2,10 @@
 //! server attached.
 //!
 //! Serving composes the pieces the other subcommands use once into a
-//! long-lived process: train a [`ModelBundle`] (readiness flips only
-//! after), then stream endless [`StreamingFleet`] epochs through a
+//! long-lived process: obtain a [`TrainedModel`] (trained in process, or
+//! loaded with `--model`) and build its [`ModelBundle`] with
+//! [`ModelBundle::from_trained`] (readiness flips only after), then
+//! stream endless [`StreamingFleet`] epochs through a
 //! [`ShardedFleetMonitor`] in hour order — drives hash onto `--shards N`
 //! per-shard monitor workers, and `--shards 1` (the default) is
 //! byte-identical to the historical single-monitor loop. After every
@@ -22,8 +24,8 @@
 //! loop cleanly: the server drains, readiness drops, and a final summary
 //! (plus `--metrics` snapshot) is emitted.
 
-use crate::{analysis_config, fleet_config, ChaosOptions, CliError, ObsOptions};
-use dds_core::{Analysis, OnlineTrainer, TrainedModel, TrainingContext};
+use crate::{analysis_config, fleet_config, training_context, ChaosOptions, CliError, ObsOptions};
+use dds_core::{Analysis, ModelError, OnlineTrainer, TrainedModel};
 use dds_monitor::{
     AlertHistory, DriftBaseline, DriftDetector, IngestQueue, ModelBundle, ModelSlot, MonitorConfig,
     MonitorService, PromotionGate, PromotionOutcome, ShadowScorer, ShardStatus,
@@ -137,16 +139,33 @@ pub fn register_build_info(registry: &Registry) {
     registry.gauge("dds_uptime_seconds").set(0.0);
 }
 
-/// A refit artifact soaking behind the shadow scorer, waiting for
-/// `POST /model/promote`.
+/// A model the loop serves, or soaks behind the shadow scorer until
+/// `POST /model/promote`: the artifact (the warm-start prior of
+/// incremental refits and the RMSE channel's training baseline), the
+/// bundle built from it, and the provenance `/model` reports.
 #[derive(Debug)]
-struct RefitCandidate {
-    bundle: ModelBundle,
+struct LoadedModel {
     model: TrainedModel,
-    /// The refit window's quarantine rate — adopted as the drift
-    /// detector's expected-disorder baseline on promotion.
-    expected_disorder: f64,
+    bundle: ModelBundle,
     provenance: String,
+    /// The quarantine rate the drift detector expects while this model
+    /// serves: 0 for the startup model, the refit window's rate for a
+    /// candidate.
+    expected_disorder: f64,
+}
+
+impl LoadedModel {
+    /// Builds the bundle from `model`; `source` names where the model
+    /// came from in its provenance.
+    fn new(model: TrainedModel, source: &str, expected_disorder: f64) -> Result<Self, ModelError> {
+        let bundle = ModelBundle::from_trained(&model)?;
+        let provenance = model.provenance_json(source);
+        Ok(LoadedModel { model, bundle, provenance, expected_disorder })
+    }
+
+    fn drift_baseline(&self) -> DriftBaseline {
+        DriftBaseline::from_bundle(&self.bundle, self.expected_disorder)
+    }
 }
 
 /// Sleeps `tick` in small slices so a stop request interrupts the pause
@@ -215,55 +234,42 @@ pub fn serve(
     let addr = server.local_addr();
     on_bound(addr);
 
-    // Obtain the bundle — warm (load an artifact) or cold (train in
-    // process); /readyz answers 503 until it is ready. Both paths publish
-    // provenance for `/model` and produce bit-identical bundles for the
-    // same training run, so the ingest below behaves the same either way.
+    // Obtain the serving model — warm (load an artifact) or cold (train
+    // in process); /readyz answers 503 until it is ready. Both paths build
+    // the bundle from the artifact and publish its provenance for
+    // `/model`, so the ingest below behaves the same either way.
     let par = Parallelism::from_thread_count(options.threads);
-    let ctx = TrainingContext {
-        seed: options.seed,
-        scale: options.scale.clone(),
-        git_sha: option_env!("DDS_GIT_SHA").unwrap_or("unknown").to_string(),
-    };
-    let (bundle, serving_provenance, serving_model) = match &options.model {
+    let ctx = training_context(options.seed, options.scale.clone());
+    let mut serving = match &options.model {
         Some(path) => {
             let model = load_model(path, registry)?;
-            let bundle = ModelBundle::from_trained(&model)
-                .map_err(|e| CliError::boxed(format!("model {}: {e}", path.display())))?;
-            let provenance = model.provenance_json(&path.display().to_string());
-            (bundle, provenance, model)
+            LoadedModel::new(model, &path.display().to_string(), 0.0)
+                .map_err(|e| CliError::boxed(format!("model {}: {e}", path.display())))?
         }
         None => {
             let training = FleetSimulator::new(
                 fleet_config(&options.scale).with_seed(options.seed).with_parallelism(par),
             )
             .run();
-            let (analysis, model) =
+            let (_, model) =
                 Analysis::new(analysis_config(None, options.threads)).train(&training, &ctx)?;
             registry.gauge("dds_model_load_seconds").set(0.0);
             registry.gauge("dds_model_age_seconds").set(0.0);
-            let bundle = ModelBundle::from_analysis(&training, &analysis);
-            let provenance = model.provenance_json("trained in-process");
-            (bundle, provenance, model)
+            LoadedModel::new(model, "trained in-process", 0.0)?
         }
     };
-    model_slot.publish(serving_provenance.clone());
-    let mut serving_bundle = bundle.clone();
-    let mut serving_provenance = serving_provenance;
-    // The serving artifact doubles as the warm-start prior for
-    // incremental refits and as the training-RMSE baseline of the RMSE
-    // drift channel; promotions replace it alongside the bundle.
-    let mut serving_model = serving_model;
-    let mut monitor = ShardedFleetMonitor::new(bundle, MonitorConfig::default(), options.shards)
-        .with_history(Arc::clone(&history))
-        .with_flight_recorder(Arc::clone(&recorder));
+    model_slot.publish(serving.provenance.clone());
+    let mut monitor =
+        ShardedFleetMonitor::new(serving.bundle.clone(), MonitorConfig::default(), options.shards)
+            .with_history(Arc::clone(&history))
+            .with_flight_recorder(Arc::clone(&recorder));
     // The online-learning loop: the drift detector watches every raw
     // record against the serving model's training metadata (always on);
     // the trainer and shadow scorer only run under `--refit-every N`.
-    let mut drift = DriftDetector::new(DriftBaseline::from_bundle(&serving_bundle, 0.0));
+    let mut drift = DriftDetector::new(serving.drift_baseline());
     let mut trainer = (options.refit_every > 0)
         .then(|| OnlineTrainer::new(analysis_config(None, options.threads)));
-    let mut candidate: Option<RefitCandidate> = None;
+    let mut candidate: Option<LoadedModel> = None;
     let mut shadow: Option<ShadowScorer> = None;
     let mut promotions = 0u64;
     health.set_ready(true);
@@ -347,12 +353,7 @@ pub fn serve(
                 let outcome = match candidate.take() {
                     Some(cand) => {
                         monitor.swap_bundle(cand.bundle.clone());
-                        serving_bundle = cand.bundle;
-                        serving_provenance = cand.provenance;
-                        drift.swap_baseline(DriftBaseline::from_bundle(
-                            &serving_bundle,
-                            cand.expected_disorder,
-                        ));
+                        drift.swap_baseline(cand.drift_baseline());
                         shadow = None;
                         if let Some(path) = &options.model {
                             if let Err(e) = cand.model.save(path) {
@@ -363,8 +364,8 @@ pub fn serve(
                                 );
                             }
                         }
-                        serving_model = cand.model;
-                        let generation = model_slot.publish(serving_provenance.clone());
+                        serving = cand;
+                        let generation = model_slot.publish(serving.provenance.clone());
                         promotions += 1;
                         PromotionOutcome {
                             status: 200,
@@ -379,8 +380,8 @@ pub fn serve(
                     // is exactly the hot-swap torture test's control case —
                     // the alert stream must not notice.
                     None => {
-                        monitor.swap_bundle(serving_bundle.clone());
-                        let generation = model_slot.publish(serving_provenance.clone());
+                        monitor.swap_bundle(serving.bundle.clone());
+                        let generation = model_slot.publish(serving.provenance.clone());
                         promotions += 1;
                         PromotionOutcome {
                             status: 200,
@@ -438,36 +439,32 @@ pub fn serve(
                 // path refines its centroids instead of re-running the
                 // elbow sweep, falling back to epoch replay on any error
                 // (counted in dds_refit_fallback_total).
-                match trainer.refit_with(&ctx, Some(&serving_model)) {
-                    Ok(outcome) => match ModelBundle::from_trained(&outcome.model) {
-                        Ok(bundle) => {
-                            // The RMSE drift channel: how the serving
-                            // trees score on the window the fleet just
-                            // streamed, next to their training RMSE.
-                            if let (Some(live), Some(training)) =
-                                (outcome.live_rmse, outcome.prior_training_rmse)
-                            {
-                                drift.record_rmse(live, training);
-                                drift.publish(registry);
+                match trainer.refit_with(&ctx, Some(&serving.model)) {
+                    Ok(outcome) => {
+                        let expected_disorder = outcome.expected_disorder();
+                        let rmse = outcome.live_rmse.zip(outcome.prior_training_rmse);
+                        let source = format!("online refit (epoch {})", stream.epochs_generated());
+                        match LoadedModel::new(outcome.model, &source, expected_disorder) {
+                            Ok(refit) => {
+                                // The RMSE drift channel: how the serving
+                                // trees score on the window the fleet just
+                                // streamed, next to their training RMSE.
+                                if let Some((live, training)) = rmse {
+                                    drift.record_rmse(live, training);
+                                    drift.publish(registry);
+                                }
+                                shadow = Some(ShadowScorer::new(
+                                    refit.bundle.clone(),
+                                    MonitorConfig::default(),
+                                ));
+                                candidate = Some(refit);
                             }
-                            let provenance = outcome.model.provenance_json(&format!(
-                                "online refit (epoch {})",
-                                stream.epochs_generated()
-                            ));
-                            shadow =
-                                Some(ShadowScorer::new(bundle.clone(), MonitorConfig::default()));
-                            candidate = Some(RefitCandidate {
-                                bundle,
-                                expected_disorder: outcome.expected_disorder(),
-                                model: outcome.model,
-                                provenance,
-                            });
+                            Err(e) => {
+                                refit_errors.inc();
+                                eprintln!("warning: refit bundle rejected: {e}");
+                            }
                         }
-                        Err(e) => {
-                            refit_errors.inc();
-                            eprintln!("warning: refit bundle rejected: {e}");
-                        }
-                    },
+                    }
                     Err(e) => {
                         refit_errors.inc();
                         eprintln!("warning: online refit failed: {e}");

@@ -148,7 +148,9 @@ pub struct TrainingContext {
     pub seed: u64,
     /// The fleet scale preset name (`test`, `bench`, `consumer`, `paper`).
     pub scale: String,
-    /// Git revision of the training binary (empty when unknown).
+    /// Git revision of the training binary, stored as given: the `dds`
+    /// CLI passes its build's short sha, or `"unknown"` when the build
+    /// could not read one.
     pub git_sha: String,
 }
 
@@ -159,7 +161,7 @@ pub struct ModelMeta {
     pub created_unix: u64,
     /// `CARGO_PKG_VERSION` of the training build.
     pub tool_version: String,
-    /// Git revision of the training build (empty when unknown).
+    /// Git revision of the training build (see [`TrainingContext::git_sha`]).
     pub git_sha: String,
     /// The fleet seed the model was trained on.
     pub seed: u64,
@@ -241,11 +243,9 @@ pub struct TrainedModel {
 }
 
 impl TrainedModel {
-    /// Assembles the artifact from a completed training run.
-    ///
-    /// The population means and `TC` deviation are accumulated in the
-    /// exact iteration order `ModelBundle::from_analysis` uses, so a
-    /// warm-started monitor is bit-identical to a cold-started one.
+    /// Assembles the artifact from a completed training run; `dataset`
+    /// must be the one the stages ran on (after any quality gate), which
+    /// is what [`Analysis::train`](crate::Analysis::train) passes.
     pub fn from_report(dataset: &Dataset, report: &AnalysisReport, ctx: &TrainingContext) -> Self {
         let assignments = report.categorization.assignments();
         let scaled = report.failure_records.scaled_features();

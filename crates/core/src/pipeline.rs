@@ -147,43 +147,20 @@ impl Analysis {
     /// [`AnalysisError::UnsuitableDataset`] for datasets without failed or
     /// good drives.
     pub fn run(&self, dataset: &Dataset) -> Result<AnalysisReport, AnalysisError> {
-        self.run_impl(dataset, None).map(|(report, _)| report)
+        self.run_impl(dataset, None, |_, report| report).map(|(report, _)| report)
     }
 
-    /// Runs every stage like [`run`](Self::run), but warm-started from a
-    /// prior model — the incremental-refit fast path. Two stages differ
-    /// from the cold run, both asymmetrically cheaper:
-    ///
-    /// * **categorize** — K-means starts from the prior centroids instead
-    ///   of the full elbow sweep (one streaming pass + Lloyd refinement
-    ///   via [`Categorizer::categorize_warm`]);
-    /// * **predict** — trees fit on a good-thinned train split and the
-    ///   prior trees are scored on the warm test split, producing the
-    ///   live RMSE sample in the returned [`WarmPredictStats`]
-    ///   ([`DegradationPredictor::train_with_columns_warm`]).
-    ///
-    /// Every other kernel is identical to the cold run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same stage errors as [`run`](Self::run), plus
-    /// [`AnalysisError::InvalidConfig`] when `prior` carries no groups.
-    /// Callers that need a guaranteed result should fall back to the
-    /// cold path on error (see `OnlineTrainer::refit_with`).
-    pub fn run_incremental(
-        &self,
-        dataset: &Dataset,
-        prior: &TrainedModel,
-    ) -> Result<(AnalysisReport, WarmPredictStats), AnalysisError> {
-        self.run_impl(dataset, Some(prior))
-    }
-
-    fn run_impl(
+    /// Runs every stage on `dataset` (warm-started from `prior` when
+    /// given), then hands `finish` the dataset the stages actually ran on
+    /// — the sanitized copy when the quality gate engaged — together with
+    /// the report, outside the `pipeline.run` span.
+    fn run_impl<T>(
         &self,
         dataset: &Dataset,
         prior: Option<&TrainedModel>,
-    ) -> Result<(AnalysisReport, WarmPredictStats), AnalysisError> {
-        let _run_span = dds_obs::span!(
+        finish: impl FnOnce(&Dataset, AnalysisReport) -> T,
+    ) -> Result<(T, WarmPredictStats), AnalysisError> {
+        let run_span = dds_obs::span!(
             Level::Info,
             "pipeline.run",
             drives = dataset.drives().len(),
@@ -352,27 +329,29 @@ impl Analysis {
                 )
             })?;
 
-        Ok((
-            AnalysisReport {
-                profile_durations,
-                attribute_boxplots,
-                failure_records,
-                categorization,
-                degradation,
-                attribute_influence,
-                env_influence,
-                z_scores,
-                prediction,
-                quality: quality_stats,
-            },
-            warm_stats,
-        ))
+        drop(run_span);
+        let report = AnalysisReport {
+            profile_durations,
+            attribute_boxplots,
+            failure_records,
+            categorization,
+            degradation,
+            attribute_influence,
+            env_influence,
+            z_scores,
+            prediction,
+            quality: quality_stats,
+        };
+        Ok((finish(dataset, report), warm_stats))
     }
 
     /// Runs the full pipeline and assembles the deployable
     /// [`TrainedModel`] artifact alongside the report — the train half of
     /// the train/apply split (`ctx` carries the provenance only the
-    /// caller knows: seed, scale preset, git revision).
+    /// caller knows: seed, scale preset, git revision). The artifact is
+    /// built from the dataset the stages ran on, so when the quality gate
+    /// engaged its scaler bounds and population statistics come from the
+    /// sanitized records the trees were fit on.
     ///
     /// # Errors
     ///
@@ -382,33 +361,53 @@ impl Analysis {
         dataset: &Dataset,
         ctx: &TrainingContext,
     ) -> Result<(AnalysisReport, TrainedModel), AnalysisError> {
-        let report = self.run(dataset)?;
-        let model = stage("pipeline.model", "dds_pipeline_model_seconds", || {
-            TrainedModel::from_report(dataset, &report, ctx)
-        });
-        Ok((report, model))
+        self.run_impl(dataset, None, |data, report| assemble(data, report, ctx))
+            .map(|(trained, _)| trained)
     }
 
-    /// The incremental counterpart of [`train`](Self::train): runs
-    /// [`run_incremental`](Self::run_incremental) warm-started from
-    /// `prior` and assembles the candidate artifact.
+    /// The incremental counterpart of [`train`](Self::train), warm-started
+    /// from a prior model — the incremental-refit fast path. Two stages
+    /// differ from the cold run, both asymmetrically cheaper:
+    ///
+    /// * **categorize** — K-means starts from the prior centroids instead
+    ///   of the full elbow sweep (one streaming pass + Lloyd refinement
+    ///   via [`Categorizer::categorize_warm`]);
+    /// * **predict** — trees fit on a good-thinned train split and the
+    ///   prior trees are scored on the warm test split, producing the
+    ///   live RMSE sample in the returned [`WarmPredictStats`]
+    ///   ([`DegradationPredictor::train_with_columns_warm`]).
+    ///
+    /// Every other kernel is identical to the cold run.
     ///
     /// # Errors
     ///
-    /// Propagates the same stage errors as
-    /// [`run_incremental`](Self::run_incremental).
+    /// Propagates the same stage errors as [`run`](Self::run), plus
+    /// [`AnalysisError::InvalidConfig`] when `prior` carries no groups.
+    /// Callers that need a guaranteed result should fall back to the
+    /// cold path on error (see `OnlineTrainer::refit_with`).
     pub fn train_incremental(
         &self,
         dataset: &Dataset,
         prior: &TrainedModel,
         ctx: &TrainingContext,
     ) -> Result<(AnalysisReport, TrainedModel, WarmPredictStats), AnalysisError> {
-        let (report, stats) = self.run_incremental(dataset, prior)?;
-        let model = stage("pipeline.model", "dds_pipeline_model_seconds", || {
-            TrainedModel::from_report(dataset, &report, ctx)
-        });
+        let ((report, model), stats) =
+            self.run_impl(dataset, Some(prior), |data, report| assemble(data, report, ctx))?;
         Ok((report, model, stats))
     }
+}
+
+/// The `pipeline.model` stage: assembles the artifact from the dataset
+/// the stages ran on.
+fn assemble(
+    dataset: &Dataset,
+    report: AnalysisReport,
+    ctx: &TrainingContext,
+) -> (AnalysisReport, TrainedModel) {
+    let model = stage("pipeline.model", "dds_pipeline_model_seconds", || {
+        TrainedModel::from_report(dataset, &report, ctx)
+    });
+    (report, model)
 }
 
 #[cfg(test)]

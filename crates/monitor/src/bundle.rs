@@ -1,9 +1,9 @@
 //! The deployable model artifact: everything the monitor needs from a
 //! training run, detached from the training dataset.
 
-use dds_core::{AnalysisReport, FailureType, ModelError, TrainedModel};
+use dds_core::{FailureType, ModelError, TrainedModel};
 use dds_regtree::RegressionTree;
-use dds_smartsim::{Attribute, Dataset, HealthRecord, NUM_ATTRIBUTES};
+use dds_smartsim::{Attribute, HealthRecord, NUM_ATTRIBUTES};
 use dds_stats::{MinMaxScaler, SignatureModel};
 
 /// The vendor "rate" attributes whose healthy values differ unit-to-unit;
@@ -35,8 +35,9 @@ pub struct GroupModel {
 /// The deployable bundle: normalization bounds plus one [`GroupModel`] per
 /// failure type discovered in training.
 ///
-/// Build it once per training fleet with [`ModelBundle::from_analysis`];
-/// it owns copies of everything, so the training dataset can be dropped.
+/// Build it from a training run's [`TrainedModel`] artifact with
+/// [`ModelBundle::from_trained`]; it owns copies of everything, so the
+/// training dataset can be dropped.
 #[derive(Debug, Clone)]
 pub struct ModelBundle {
     scaler: MinMaxScaler,
@@ -51,51 +52,11 @@ pub struct ModelBundle {
 }
 
 impl ModelBundle {
-    /// Extracts the bundle from a completed analysis of a training fleet.
-    pub fn from_analysis(dataset: &Dataset, report: &AnalysisReport) -> Self {
-        let groups = report
-            .prediction
-            .groups
-            .iter()
-            .map(|g| GroupModel {
-                failure_type: report.categorization.groups()[g.group_index].failure_type,
-                tree: g.tree.clone(),
-                signature: g.signature,
-                rmse: g.rmse,
-            })
-            .collect();
-        let mut population_means = [0.0; NUM_ATTRIBUTES];
-        let mut count = 0u64;
-        for drive in dataset.good_drives() {
-            for record in drive.records() {
-                count += 1;
-                for (mean, v) in population_means.iter_mut().zip(&record.values) {
-                    *mean += v;
-                }
-            }
-        }
-        if count > 0 {
-            for mean in &mut population_means {
-                *mean /= count as f64;
-            }
-        }
-        let tc_idx = Attribute::TemperatureCelsius.index();
-        let mut tc_var = 0.0;
-        for drive in dataset.good_drives() {
-            for record in drive.records() {
-                let d = record.values[tc_idx] - population_means[tc_idx];
-                tc_var += d * d;
-            }
-        }
-        let tc_std = if count > 0 { (tc_var / count as f64).sqrt() } else { 0.0 };
-        ModelBundle { scaler: dataset.scaler().clone(), groups, population_means, tc_std }
-    }
-
-    /// Rebuilds the bundle from a saved [`TrainedModel`] artifact — the
-    /// warm-start path. The artifact carries the identical scaler bounds,
-    /// trees, signatures, population means and `TC` deviation the training
-    /// run produced, so a warm-started monitor behaves bit-for-bit like a
-    /// cold-started one.
+    /// Builds the bundle from a [`TrainedModel`] artifact — the only
+    /// train→serve hand-off. A freshly trained artifact and the same
+    /// artifact reloaded from disk carry the identical scaler bounds,
+    /// trees, signatures, population means and `TC` deviation, so a
+    /// warm-started monitor behaves bit-for-bit like a cold-started one.
     ///
     /// # Errors
     ///
@@ -176,21 +137,31 @@ impl ModelBundle {
     }
 }
 
+/// Trains a test-scale bundle (SVC cross-check off) for the crate's unit
+/// tests.
+#[cfg(test)]
+pub(crate) fn trained_bundle(seed: u64) -> ModelBundle {
+    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig, TrainingContext};
+    use dds_smartsim::{FleetConfig, FleetSimulator};
+
+    let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run();
+    let config = AnalysisConfig {
+        categorization: CategorizationConfig { run_svc: false, ..Default::default() },
+        ..Default::default()
+    };
+    let (_, model) = Analysis::new(config).train(&dataset, &TrainingContext::default()).unwrap();
+    ModelBundle::from_trained(&model).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig};
-    use dds_smartsim::{FleetConfig, FleetSimulator};
+    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig, TrainingContext};
+    use dds_smartsim::{Dataset, FleetConfig, FleetSimulator};
 
     fn bundle() -> (Dataset, ModelBundle) {
         let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(8_001)).run();
-        let config = AnalysisConfig {
-            categorization: CategorizationConfig { run_svc: false, ..Default::default() },
-            ..Default::default()
-        };
-        let report = Analysis::new(config).run(&dataset).unwrap();
-        let bundle = ModelBundle::from_analysis(&dataset, &report);
-        (dataset, bundle)
+        (dataset, trained_bundle(8_001))
     }
 
     #[test]
@@ -212,21 +183,19 @@ mod tests {
     }
 
     #[test]
-    fn from_trained_matches_from_analysis_bitwise() {
-        use dds_core::TrainingContext;
+    fn from_trained_survives_the_codec_bitwise() {
         let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(8_001)).run();
         let config = AnalysisConfig {
             categorization: CategorizationConfig { run_svc: false, ..Default::default() },
             ..Default::default()
         };
         let ctx = TrainingContext { seed: 8_001, scale: "test".into(), git_sha: String::new() };
-        let (report, model) = Analysis::new(config).train(&dataset, &ctx).unwrap();
-        let cold = ModelBundle::from_analysis(&dataset, &report);
+        let (_, model) = Analysis::new(config).train(&dataset, &ctx).unwrap();
+        let cold = ModelBundle::from_trained(&model).unwrap();
         // Round-trip the artifact through its codec before rebuilding, so
-        // this also covers serialization drift.
+        // serialization drift shows up as a warm/cold mismatch.
         let reloaded = TrainedModel::from_bytes(&model.to_bytes().unwrap()).unwrap();
         let warm = ModelBundle::from_trained(&reloaded).unwrap();
-
         assert_eq!(warm.scaler(), cold.scaler());
         for (w, c) in warm.population_means().iter().zip(cold.population_means()) {
             assert_eq!(w.to_bits(), c.to_bits());

@@ -406,23 +406,13 @@ impl DriftDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig};
+    use crate::bundle::trained_bundle;
     use dds_smartsim::stream::hour_ordered;
     use dds_smartsim::{FleetConfig, FleetSimulator};
 
-    fn bundle(seed: u64) -> ModelBundle {
-        let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run();
-        let config = AnalysisConfig {
-            categorization: CategorizationConfig { run_svc: false, ..Default::default() },
-            ..Default::default()
-        };
-        let report = Analysis::new(config).run(&dataset).unwrap();
-        ModelBundle::from_analysis(&dataset, &report)
-    }
-
     #[test]
     fn clean_stream_from_the_training_fleet_reads_as_clean() {
-        let bundle = bundle(4_001);
+        let bundle = trained_bundle(4_001);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_001)).run();
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
         let records = hour_ordered(&live);
@@ -435,7 +425,7 @@ mod tests {
 
     #[test]
     fn hour_skew_reads_as_ordering_drift_and_the_baseline_absorbs_it() {
-        let bundle = bundle(4_002);
+        let bundle = trained_bundle(4_002);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_003)).run();
         let mut records = hour_ordered(&live);
         // Skew ~2% of records back in time, like the chaos `skew` spec.
@@ -466,7 +456,7 @@ mod tests {
 
     #[test]
     fn out_of_range_values_read_as_range_drift() {
-        let bundle = bundle(4_004);
+        let bundle = trained_bundle(4_004);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_004)).run();
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
         let mut records = hour_ordered(&live);
@@ -483,7 +473,7 @@ mod tests {
 
     #[test]
     fn publish_is_monotonic_and_partitions_records() {
-        let bundle = bundle(4_005);
+        let bundle = trained_bundle(4_005);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_006)).run();
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
         let registry = Registry::new();
@@ -508,7 +498,7 @@ mod tests {
 
     #[test]
     fn swap_baseline_opens_a_fresh_window_without_rewinding_counters() {
-        let bundle = bundle(4_007);
+        let bundle = trained_bundle(4_007);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_008)).run();
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
         let registry = Registry::new();
@@ -553,7 +543,7 @@ mod tests {
 
     #[test]
     fn hour_rollover_is_not_ordering_drift_but_replay_still_is() {
-        let bundle = bundle(4_010);
+        let bundle = trained_bundle(4_010);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(4_010)).run();
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
         let (drive, record) = hour_ordered(&live).remove(0);
@@ -580,7 +570,7 @@ mod tests {
 
     #[test]
     fn rmse_channel_tracks_breaches_and_publishes_monotonically() {
-        let bundle = bundle(4_011);
+        let bundle = trained_bundle(4_011);
         let mut detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.0));
         let registry = Registry::new();
         assert!(detector.rmse_sample().is_none());
@@ -617,7 +607,7 @@ mod tests {
 
     #[test]
     fn baseline_carries_training_rmse_from_the_bundle() {
-        let bundle = bundle(4_012);
+        let bundle = trained_bundle(4_012);
         let baseline = DriftBaseline::from_bundle(&bundle, 0.0);
         let expected =
             bundle.groups().iter().map(|g| g.rmse).sum::<f64>() / bundle.groups().len() as f64;
@@ -626,7 +616,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let bundle = bundle(4_009);
+        let bundle = trained_bundle(4_009);
         let detector = DriftDetector::new(DriftBaseline::from_bundle(&bundle, 0.25));
         let json = detector.to_json();
         for key in [

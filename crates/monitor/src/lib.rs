@@ -3,8 +3,9 @@
 //! §VI of the paper closes with the plan to "build a middleware software
 //! that will enhance storage reliability" from the degradation signatures.
 //! This crate is that system: train the paper's per-type models once
-//! ([`ModelBundle::from_analysis`]), deploy them as a [`FleetMonitor`],
-//! and stream hourly SMART records through it. The monitor
+//! (`Analysis::train` → `TrainedModel` → [`ModelBundle::from_trained`]),
+//! deploy them as a [`FleetMonitor`], and stream hourly SMART records
+//! through it. The monitor
 //!
 //! * normalizes each record with the training fleet's Eq. (1) bounds,
 //! * scores it with every failure group's regression tree,
@@ -26,14 +27,15 @@
 //! # Example
 //!
 //! ```
-//! use dds_core::{Analysis, AnalysisConfig};
+//! use dds_core::{Analysis, AnalysisConfig, TrainingContext};
 //! use dds_monitor::{FleetMonitor, ModelBundle, MonitorConfig};
 //! use dds_smartsim::{FleetConfig, FleetSimulator};
 //!
 //! // Train on one fleet...
 //! let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(1)).run();
-//! let analysis = Analysis::new(AnalysisConfig::default()).run(&training)?;
-//! let bundle = ModelBundle::from_analysis(&training, &analysis);
+//! let (_, model) =
+//!     Analysis::new(AnalysisConfig::default()).train(&training, &TrainingContext::default())?;
+//! let bundle = ModelBundle::from_trained(&model)?;
 //!
 //! // ...monitor another.
 //! let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(2)).run();
@@ -44,7 +46,7 @@
 //!     alerts.extend(monitor.ingest(drive.id(), record));
 //! }
 //! assert!(!alerts.is_empty(), "a failing drive must raise alerts");
-//! # Ok::<(), dds_core::AnalysisError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![deny(missing_docs)]

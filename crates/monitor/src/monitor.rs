@@ -309,13 +309,14 @@ impl FleetMonitor {
     /// record by record:
     ///
     /// ```
-    /// use dds_core::{Analysis, AnalysisConfig};
+    /// use dds_core::{Analysis, AnalysisConfig, TrainingContext};
     /// use dds_monitor::{FleetMonitor, ModelBundle, MonitorConfig};
     /// use dds_smartsim::{FleetConfig, FleetSimulator};
     ///
     /// let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(1)).run();
-    /// let report = Analysis::new(AnalysisConfig::default()).run(&training)?;
-    /// let bundle = ModelBundle::from_analysis(&training, &report);
+    /// let (_, model) =
+    ///     Analysis::new(AnalysisConfig::default()).train(&training, &TrainingContext::default())?;
+    /// let bundle = ModelBundle::from_trained(&model)?;
     /// let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
     ///
     /// let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(2)).run();
@@ -326,7 +327,7 @@ impl FleetMonitor {
     ///     }
     /// }
     /// assert!(!alerts.is_empty(), "failing drives raise alerts before their end");
-    /// # Ok::<(), dds_core::AnalysisError>(())
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
     /// Records that fail the data-quality gate (out-of-order hours,
@@ -605,19 +606,8 @@ impl FleetMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::ModelBundle;
-    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig};
+    use crate::bundle::trained_bundle;
     use dds_smartsim::{Dataset, FailureMode, FleetConfig, FleetSimulator};
-
-    fn trained_bundle(seed: u64) -> ModelBundle {
-        let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run();
-        let config = AnalysisConfig {
-            categorization: CategorizationConfig { run_svc: false, ..Default::default() },
-            ..Default::default()
-        };
-        let report = Analysis::new(config).run(&dataset).unwrap();
-        ModelBundle::from_analysis(&dataset, &report)
-    }
 
     fn live_fleet(seed: u64) -> Dataset {
         FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run()

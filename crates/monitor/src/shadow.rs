@@ -145,23 +145,13 @@ impl ShadowScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig};
+    use crate::bundle::trained_bundle;
     use dds_smartsim::stream::hour_ordered;
     use dds_smartsim::{FleetConfig, FleetSimulator};
 
-    fn bundle(seed: u64) -> ModelBundle {
-        let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run();
-        let config = AnalysisConfig {
-            categorization: CategorizationConfig { run_svc: false, ..Default::default() },
-            ..Default::default()
-        };
-        let report = Analysis::new(config).run(&dataset).unwrap();
-        ModelBundle::from_analysis(&dataset, &report)
-    }
-
     #[test]
     fn identical_candidate_never_diverges() {
-        let serving_bundle = bundle(5_001);
+        let serving_bundle = trained_bundle(5_001);
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(5_002)).run();
         let records = hour_ordered(&live);
 
@@ -190,11 +180,11 @@ mod tests {
         let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(5_003)).run();
         let records = hour_ordered(&live);
 
-        let mut serving =
-            FleetMonitor::new(bundle(5_001), MonitorConfig::default()).with_quiet_counters();
+        let mut serving = FleetMonitor::new(trained_bundle(5_001), MonitorConfig::default())
+            .with_quiet_counters();
         // A candidate trained on a different fleet scores differently
         // somewhere in a full epoch.
-        let mut shadow = ShadowScorer::new(bundle(5_004), MonitorConfig::default());
+        let mut shadow = ShadowScorer::new(trained_bundle(5_004), MonitorConfig::default());
         for batch in records.chunks(512) {
             let alerts: Vec<Alert> =
                 batch.iter().flat_map(|(d, r)| serving.ingest(*d, r)).collect();

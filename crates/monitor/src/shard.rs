@@ -677,19 +677,9 @@ impl IngestQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_core::{Analysis, AnalysisConfig, CategorizationConfig};
+    use crate::bundle::trained_bundle;
     use dds_smartsim::stream::hour_ordered;
     use dds_smartsim::{FleetConfig, FleetSimulator, NUM_ATTRIBUTES};
-
-    fn trained_bundle(seed: u64) -> ModelBundle {
-        let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run();
-        let config = AnalysisConfig {
-            categorization: CategorizationConfig { run_svc: false, ..Default::default() },
-            ..Default::default()
-        };
-        let report = Analysis::new(config).run(&dataset).unwrap();
-        ModelBundle::from_analysis(&dataset, &report)
-    }
 
     fn alert_lines(alerts: &[Alert]) -> Vec<String> {
         alerts.iter().map(|a| format!("{a}")).collect()

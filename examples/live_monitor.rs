@@ -12,8 +12,9 @@ use dds_monitor::Severity;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train on last quarter's fleet...
     let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(111)).run();
-    let analysis = Analysis::new(AnalysisConfig::default()).run(&training)?;
-    let bundle = ModelBundle::from_analysis(&training, &analysis);
+    let ctx = TrainingContext { seed: 111, scale: "test".to_string(), git_sha: String::new() };
+    let (_, model) = Analysis::new(AnalysisConfig::default()).train(&training, &ctx)?;
+    let bundle = ModelBundle::from_trained(&model)?;
     println!(
         "trained bundle: {} group models, scaler over {} attributes",
         bundle.groups().len(),

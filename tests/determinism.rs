@@ -57,13 +57,13 @@ fn different_seed_different_data_same_conclusions() {
 fn save_load_predict_equals_train_predict() {
     let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(6)).run();
     let ctx = TrainingContext { seed: 6, scale: "test".to_string(), git_sha: String::new() };
-    let (report, model) = Analysis::new(AnalysisConfig::default()).train(&dataset, &ctx).unwrap();
+    let (_, model) = Analysis::new(AnalysisConfig::default()).train(&dataset, &ctx).unwrap();
     let reloaded = TrainedModel::from_bytes(&model.to_bytes().unwrap()).unwrap();
     assert_eq!(reloaded, model, "codec round-trip must be lossless");
 
     // The warm bundle scores a live fleet bit-identically to the cold one.
     let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(7)).run();
-    let cold = ModelBundle::from_analysis(&dataset, &report);
+    let cold = ModelBundle::from_trained(&model).unwrap();
     let warm = ModelBundle::from_trained(&reloaded).unwrap();
     for drive in live.drives() {
         for record in drive.records() {

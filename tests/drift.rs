@@ -57,9 +57,9 @@ fn chaos_skew_trips_the_drift_budget_at_a_pinned_tick_and_promotion_recovers() {
     // like the serve loop's in-process path.
     let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(SEED)).run();
     let ctx = TrainingContext { seed: SEED, scale: "test".to_string(), git_sha: String::new() };
-    let (report, _model) =
+    let (_, model) =
         Analysis::new(AnalysisConfig::default()).train(&training, &ctx).expect("cold training");
-    let serving = ModelBundle::from_analysis(&training, &report);
+    let serving = ModelBundle::from_trained(&model).expect("serving bundle");
 
     // Live stream: ingest epochs seeded SEED+1 onward, every record run
     // through `--chaos skew=0.5 --chaos-seed 1051` (the chaos engine
@@ -162,8 +162,10 @@ fn shadow_scoring_never_inflates_the_serving_metrics() {
     registry.reset();
 
     let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(SEED)).run();
-    let report = Analysis::new(AnalysisConfig::default()).run(&training).expect("serving analysis");
-    let bundle = ModelBundle::from_analysis(&training, &report);
+    let (_, model) = Analysis::new(AnalysisConfig::default())
+        .train(&training, &TrainingContext::default())
+        .expect("serving analysis");
+    let bundle = ModelBundle::from_trained(&model).expect("serving bundle");
 
     let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(SEED + 1)).run();
     let records = hour_ordered(&live);

@@ -85,8 +85,9 @@ fn adversarial_extreme_values_do_not_break_analysis() {
 #[test]
 fn monitor_survives_hostile_streams() {
     let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(78)).run();
-    let analysis = Analysis::new(config_without_svc()).run(&training).unwrap();
-    let bundle = ModelBundle::from_analysis(&training, &analysis);
+    let (_, model) =
+        Analysis::new(config_without_svc()).train(&training, &TrainingContext::default()).unwrap();
+    let bundle = ModelBundle::from_trained(&model).unwrap();
     let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
     // Out-of-range values, zeros, huge spikes, duplicated hours.
     for (i, fill) in

@@ -7,8 +7,10 @@ use dds_monitor::{AlertKind, Severity};
 
 fn trained_monitor(train_seed: u64) -> FleetMonitor {
     let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(train_seed)).run();
-    let analysis = Analysis::new(AnalysisConfig::default()).run(&training).unwrap();
-    let bundle = ModelBundle::from_analysis(&training, &analysis);
+    let (_, model) = Analysis::new(AnalysisConfig::default())
+        .train(&training, &TrainingContext::default())
+        .unwrap();
+    let bundle = ModelBundle::from_trained(&model).unwrap();
     FleetMonitor::new(bundle, MonitorConfig::default())
 }
 

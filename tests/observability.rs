@@ -20,10 +20,17 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn run_analysis(seed: u64) -> (Dataset, dds_core::AnalysisReport) {
+fn run_analysis(seed: u64) -> dds_core::AnalysisReport {
     let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run();
-    let report = Analysis::new(AnalysisConfig::default()).run(&dataset).unwrap();
-    (dataset, report)
+    Analysis::new(AnalysisConfig::default()).run(&dataset).unwrap()
+}
+
+fn trained_bundle(seed: u64) -> ModelBundle {
+    let dataset = FleetSimulator::new(FleetConfig::test_scale().with_seed(seed)).run();
+    let (_, model) = Analysis::new(AnalysisConfig::default())
+        .train(&dataset, &TrainingContext::default())
+        .unwrap();
+    ModelBundle::from_trained(&model).unwrap()
 }
 
 #[test]
@@ -85,8 +92,7 @@ fn metrics_reflect_a_known_pipeline_and_monitoring_run() {
     let _guard = obs_lock();
     metrics::global().reset();
 
-    let (training, report) = run_analysis(91_002);
-    let bundle = ModelBundle::from_analysis(&training, &report);
+    let bundle = trained_bundle(91_002);
     let mut monitor = FleetMonitor::new(bundle, MonitorConfig::default());
     let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(91_003)).run();
     let mut alerts = 0usize;
@@ -173,8 +179,7 @@ fn sharded_instrumentation_is_inert() {
     use dds_monitor::ShardedFleetMonitor;
     use dds_obs::journal::{FlightRecorder, DEFAULT_JOURNAL_CAPACITY};
 
-    let (training, report) = run_analysis(91_006);
-    let bundle = ModelBundle::from_analysis(&training, &report);
+    let bundle = trained_bundle(91_006);
     let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(91_007)).run();
     let mut batch = Vec::new();
     for drive in live.drives() {
@@ -213,7 +218,7 @@ fn instrumentation_does_not_change_results() {
 
     // Baseline: no subscriber installed (the zero-overhead default).
     trace::reset();
-    let (_, quiet) = run_analysis(91_004);
+    let quiet = run_analysis(91_004);
 
     // Same analysis under a null subscriber and under full capture.
     for subscriber in [
@@ -221,7 +226,7 @@ fn instrumentation_does_not_change_results() {
         Arc::new(CapturingSubscriber::new(Level::Trace)),
     ] {
         trace::install(subscriber);
-        let (_, traced) = run_analysis(91_004);
+        let traced = run_analysis(91_004);
         trace::reset();
 
         assert_eq!(
