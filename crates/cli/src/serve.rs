@@ -12,10 +12,12 @@
 //! ingested fleet-hour the loop drains the bounded [`IngestQueue`] fed by
 //! the `/ingest` endpoint (external batches ride along with the simulated
 //! stream), samples the metrics registry into a [`TimeSeriesStore`] and
-//! the per-shard [`ShardSeriesStore`] rings, evaluates the [`Watchdog`]'s
-//! standard SLO rules — including the shed-rate budget that flips
-//! `/healthz` under sustained overload — plus the per-shard thresholds
-//! that name the offending shard, and sleeps the configured tick. Every
+//! each shard's share of the same metrics
+//! ([`ShardStatus::metrics_snapshot`]) into one `TimeSeriesStore` per
+//! shard, evaluates the [`Watchdog`]'s standard SLO rules — including the
+//! shed-rate budget that flips `/healthz` under sustained overload — on
+//! the fleet store and its shard rules on every shard's store (naming the
+//! offending shard), and sleeps the configured tick. Every
 //! batch also deposits a span into the [`FlightRecorder`] behind
 //! `/trace`. The [`MonitorService`] endpoints (`/metrics`, `/healthz`,
 //! `/alerts`, `/shards`, `/trace`, `/timeseries`, …) answer from shared
@@ -35,8 +37,8 @@ use dds_obs::http::HttpServer;
 use dds_obs::journal::{FlightRecorder, DEFAULT_JOURNAL_CAPACITY};
 use dds_obs::metrics::Registry;
 use dds_obs::profile::StageProfiler;
-use dds_obs::timeseries::{ShardSample, ShardSeriesStore, TimeSeriesStore};
-use dds_obs::watchdog::{ShardSlo, Watchdog};
+use dds_obs::timeseries::TimeSeriesStore;
+use dds_obs::watchdog::Watchdog;
 use dds_smartsim::{FleetSimulator, StreamingFleet};
 use dds_stats::par::Parallelism;
 use std::error::Error;
@@ -215,8 +217,12 @@ pub fn serve(
     );
     let shards_slot = Arc::new(Mutex::new(String::new()));
     let drift_slot = Arc::new(Mutex::new(String::new()));
+    // The fleet store samples the registry; each shard's store gets the
+    // shard's share of the same metrics, at the same instants.
     let store = Arc::new(TimeSeriesStore::new(512));
-    let shard_series = Arc::new(ShardSeriesStore::new(options.shards.max(1), 512));
+    let shard_series: Arc<[TimeSeriesStore]> =
+        (0..options.shards.max(1)).map(|_| TimeSeriesStore::new(512)).collect();
+    let clock = Instant::now();
     let mut service = MonitorService::new(Arc::clone(&history), Arc::clone(&health))
         .with_model_slot(Arc::clone(&model_slot))
         .with_promotion_gate(Arc::clone(&promotion_gate))
@@ -274,8 +280,8 @@ pub fn serve(
     let mut promotions = 0u64;
     health.set_ready(true);
 
-    store.sample(registry);
-    let shard_slo = ShardSlo::standard();
+    store.push(clock.elapsed(), registry.snapshot());
+    let shard_rules = Watchdog::shard_rules();
     let mut stream = StreamingFleet::new(
         fleet_config(&options.scale).with_seed(options.seed.wrapping_add(1)).with_parallelism(par),
     );
@@ -396,33 +402,20 @@ pub fn serve(
                     let _ = waiter.send(outcome.clone());
                 }
             }
-            // Hour fully ingested: sample the registry and the per-shard
-            // rings, judge the SLOs (fleet first — it clears on a clean
-            // pass — then the shard thresholds, which only degrade),
+            // Hour fully ingested: sample the registry and every shard's
+            // status, judge the SLOs (fleet first — it clears on a clean
+            // pass — then the same rules per shard, which only degrade),
             // publish the per-shard view, pace the stream.
-            store.sample(registry);
+            let now = clock.elapsed();
+            store.push(now, registry.snapshot());
             let statuses = monitor.shard_statuses();
             for status in &statuses {
-                shard_series.sample(
-                    status.shard,
-                    ShardSample {
-                        accepted: status.quality.accepted,
-                        quarantined: status.quality.quarantined,
-                        alerts: status.alerts_emitted,
-                        batches: status.batches,
-                        batch_buckets: status.batch_buckets,
-                    },
-                );
+                shard_series[status.shard].push(now, status.metrics_snapshot());
             }
             watchdog.evaluate(&store);
-            watchdog.evaluate_shards(&shard_series, &shard_slo);
+            watchdog.evaluate_shards(&shard_series, &shard_rules);
             if let Ok(mut slot) = shards_slot.lock() {
-                let per_shard: Vec<String> = statuses.iter().map(ShardStatus::to_json).collect();
-                *slot = format!(
-                    "{{\"shards\": {}, \"per_shard\": [{}]}}",
-                    monitor.shards(),
-                    per_shard.join(", ")
-                );
+                *slot = ShardStatus::shards_json(&statuses);
             }
             start = end;
             if start < records.len() {

@@ -327,7 +327,8 @@ pub struct FleetSanitizer {
     policy: QualityPolicy,
     drives: HashMap<DriveId, DriveGate>,
     stats: QualityStats,
-    metrics: QualityMetrics,
+    /// `None` for a gate that keeps its tallies to itself.
+    metrics: Option<QualityMetrics>,
 }
 
 impl FleetSanitizer {
@@ -337,8 +338,18 @@ impl FleetSanitizer {
             policy,
             drives: HashMap::new(),
             stats: QualityStats::default(),
-            metrics: QualityMetrics::new(),
+            metrics: Some(QualityMetrics::new()),
         }
+    }
+
+    /// Stops this gate from writing the process-global quarantine and
+    /// imputation counters; its own [`stats`](FleetSanitizer::stats)
+    /// still count. For a gate that re-judges records another gate
+    /// already counted, such as a shadow-scoring monitor's.
+    #[must_use]
+    pub fn with_quiet_counters(mut self) -> Self {
+        self.metrics = None;
+        self
     }
 
     /// The active policy.
@@ -367,7 +378,9 @@ impl FleetSanitizer {
                 self.stats.accepted += 1;
                 if imputed > 0 {
                     self.stats.imputed_attrs += imputed as u64;
-                    self.metrics.imputed.add(imputed as u64);
+                    if let Some(metrics) = &self.metrics {
+                        metrics.imputed.add(imputed as u64);
+                    }
                 }
                 Ok(clean)
             }
@@ -400,8 +413,10 @@ impl FleetSanitizer {
     fn quarantine_one(&mut self, error: &DataQualityError) {
         self.stats.quarantined += 1;
         self.stats.by_reason[error.reason_index()] += 1;
-        self.metrics.quarantined.inc();
-        self.metrics.by_reason[error.reason_index()].inc();
+        if let Some(metrics) = &self.metrics {
+            metrics.quarantined.inc();
+            metrics.by_reason[error.reason_index()].inc();
+        }
     }
 }
 

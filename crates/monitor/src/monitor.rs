@@ -251,14 +251,16 @@ impl FleetMonitor {
     }
 
     /// Stops this monitor from writing the process-global
-    /// `dds_monitor_*` counters and histograms as well (implies quiet
-    /// gauges). Used by shadow scoring, where a candidate model scores
-    /// the same stream the serving model already counted — double
+    /// `dds_monitor_*` counters and histograms as well, and its quality
+    /// gate from writing the quarantine and imputation counters (implies
+    /// quiet gauges). Used by shadow scoring, where a candidate model
+    /// scores the same stream the serving model already counted — double
     /// publication would distort every rate the watchdog budgets.
     #[must_use]
     pub fn with_quiet_counters(mut self) -> Self {
         self.gauges = false;
         self.counters = false;
+        self.sanitizer = self.sanitizer.with_quiet_counters();
         self
     }
 

@@ -42,7 +42,7 @@ use dds_obs::http::{Handler, Request, Response};
 use dds_obs::journal::FlightRecorder;
 use dds_obs::metrics;
 use dds_obs::profile::StageProfiler;
-use dds_obs::timeseries::{ShardSeriesStore, TimeSeriesStore};
+use dds_obs::timeseries::TimeSeriesStore;
 use dds_obs::watchdog::HealthState;
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -192,8 +192,9 @@ pub struct MonitorService {
     recorder: Option<Arc<FlightRecorder>>,
     /// The fleet-level snapshot ring behind `/timeseries`.
     timeseries: Option<Arc<TimeSeriesStore>>,
-    /// The per-shard rings feeding `/timeseries`'s `per_shard` section.
-    shard_series: Option<Arc<ShardSeriesStore>>,
+    /// One store per shard, in shard order, feeding `/timeseries`'s
+    /// `per_shard` section.
+    shard_series: Option<Arc<[TimeSeriesStore]>>,
     started: Instant,
 }
 
@@ -228,10 +229,11 @@ impl MonitorService {
         self
     }
 
-    /// Attaches the per-shard rings feeding `/timeseries`'s `per_shard`
-    /// section (optional — a non-sharded deployment serves only the
-    /// fleet section).
-    pub fn with_shard_series(mut self, series: Arc<ShardSeriesStore>) -> Self {
+    /// Attaches one store per shard, in shard order, each fed with
+    /// [`ShardStatus::metrics_snapshot`](crate::ShardStatus::metrics_snapshot)s,
+    /// for `/timeseries`'s `per_shard` section (optional — a non-sharded
+    /// deployment serves only the fleet section).
+    pub fn with_shard_series(mut self, series: Arc<[TimeSeriesStore]>) -> Self {
         self.shard_series = Some(series);
         self
     }
@@ -244,7 +246,7 @@ impl MonitorService {
     }
 
     /// Attaches the shared `/shards` document slot. The host re-publishes
-    /// [`crate::ShardedFleetMonitor::statuses_json`] into it as serving
+    /// [`crate::ShardStatus::shards_json`] into it as serving
     /// progresses; an empty string answers 503 (still starting).
     pub fn with_shards_slot(mut self, shards: Arc<Mutex<String>>) -> Self {
         self.shards = Some(shards);
@@ -433,36 +435,43 @@ impl MonitorService {
             return Response::not_found();
         };
         let w = TIMESERIES_WINDOW;
+        let ingested = "dds_monitor_records_ingested_total";
+        let quarantined = "dds_records_quarantined_total";
+        let alerts = "dds_monitor_alerts_total";
         let batch = "dds_ingest_batch_seconds";
         let fleet = format!(
             "{{\"ingest_per_sec\": {}, \"alert_per_min\": {}, \"shed_per_sec\": {}, \
              \"quarantine_per_sec\": {}, \"batch_p50_seconds\": {}, \"batch_p95_seconds\": {}, \
              \"batch_p99_seconds\": {}, \"ingest_series\": {}, \"batch_p99_series\": {}}}",
-            json_opt(store.rate_per_sec("dds_monitor_records_ingested_total", w)),
-            json_opt(store.rate_per_min("dds_monitor_alerts_total", w)),
+            json_opt(store.rate_per_sec(ingested, w)),
+            json_opt(store.rate_per_min(alerts, w)),
             json_opt(store.rate_per_sec("dds_shed_records_total", w)),
-            json_opt(store.rate_per_sec("dds_records_quarantined_total", w)),
+            json_opt(store.rate_per_sec(quarantined, w)),
             json_opt(store.window_quantile(batch, w, 0.5)),
             json_opt(store.window_quantile(batch, w, 0.95)),
             json_opt(store.window_quantile(batch, w, 0.99)),
-            json_series(&store.rate_series("dds_monitor_records_ingested_total", SERIES_POINTS)),
+            json_series(&store.rate_series(ingested, SERIES_POINTS)),
             json_series(&store.quantile_series(batch, SERIES_POINTS, 0.99)),
         );
         let per_shard = match &self.shard_series {
             Some(series) => {
-                let rows: Vec<String> = (0..series.shards())
-                    .map(|shard| {
+                // A shard's store holds its share of the fleet metrics
+                // under the fleet's names.
+                let rows: Vec<String> = series
+                    .iter()
+                    .enumerate()
+                    .map(|(shard, store)| {
                         format!(
                             "{{\"shard\": {shard}, \"accepted_per_sec\": {}, \
                              \"quarantine_per_sec\": {}, \"alert_per_min\": {}, \
                              \"batch_p50_seconds\": {}, \"batch_p99_seconds\": {}, \
                              \"ingest_series\": {}}}",
-                            json_opt(series.accepted_per_sec(shard, w)),
-                            json_opt(series.quarantine_per_sec(shard, w)),
-                            json_opt(series.alert_per_min(shard, w)),
-                            json_opt(series.batch_quantile(shard, w, 0.5)),
-                            json_opt(series.batch_quantile(shard, w, 0.99)),
-                            json_series(&series.accepted_series(shard, SERIES_POINTS)),
+                            json_opt(store.rate_per_sec(ingested, w)),
+                            json_opt(store.rate_per_sec(quarantined, w)),
+                            json_opt(store.rate_per_min(alerts, w)),
+                            json_opt(store.window_quantile(batch, w, 0.5)),
+                            json_opt(store.window_quantile(batch, w, 0.99)),
+                            json_series(&store.rate_series(ingested, SERIES_POINTS)),
                         )
                     })
                     .collect();
@@ -830,7 +839,8 @@ mod tests {
 
     #[test]
     fn timeseries_endpoint_serves_fleet_and_per_shard_windows() {
-        use dds_obs::timeseries::{ShardSample, ShardSeriesStore, TimeSeriesStore};
+        use crate::shard::ShardStatus;
+        use dds_core::quality::QualityStats;
 
         // Without a store, the deployment has no time series.
         assert_eq!(service().handle(&request("/timeseries", None)).status, 404);
@@ -843,14 +853,21 @@ mod tests {
         registry.histogram("dds_ingest_batch_seconds").observe(2e-3);
         store.push(Duration::from_secs(10), registry.snapshot());
 
-        let shard_series = Arc::new(ShardSeriesStore::new(2, 16));
-        for shard in 0..2 {
-            shard_series.push(shard, Duration::from_secs(0), ShardSample::default());
-            shard_series.push(
-                shard,
-                Duration::from_secs(10),
-                ShardSample { accepted: 250, ..ShardSample::default() },
-            );
+        // Each shard's store is fed the snapshots of its statuses.
+        let shard_series: Arc<[TimeSeriesStore]> =
+            (0..2).map(|_| TimeSeriesStore::new(16)).collect();
+        for (shard, store) in shard_series.iter().enumerate() {
+            for (t, accepted) in [(0, 0), (10, 250)] {
+                let status = ShardStatus {
+                    shard,
+                    drives_tracked: 0,
+                    latched: [0; 3],
+                    quality: QualityStats { accepted, ..QualityStats::default() },
+                    alerts_emitted: 0,
+                    batch_seconds: metrics::Histogram::default().snapshot(),
+                };
+                store.push(Duration::from_secs(t), status.metrics_snapshot());
+            }
         }
 
         let service = MonitorService::new(Arc::new(AlertHistory::new(16)), HealthState::new())
@@ -870,6 +887,9 @@ mod tests {
         let shards = doc.get("per_shard").and_then(|v| v.as_array()).expect("per_shard");
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0].get("accepted_per_sec").and_then(|v| v.as_f64()), Some(25.0));
+        // Counters that did not grow render as 0, not null.
+        assert_eq!(shards[1].get("quarantine_per_sec").and_then(|v| v.as_f64()), Some(0.0));
+        assert_eq!(shards[1].get("alert_per_min").and_then(|v| v.as_f64()), Some(0.0));
 
         // A fleet-only deployment serves an empty per_shard array.
         let fleet_only = MonitorService::new(Arc::new(AlertHistory::new(16)), HealthState::new())

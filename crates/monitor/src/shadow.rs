@@ -3,12 +3,12 @@
 //!
 //! Before a candidate is promoted it must earn trust on real traffic.
 //! [`ShadowScorer`] wraps the candidate bundle in a fully quiet
-//! [`FleetMonitor`] (no gauges, no counters, no history — see
-//! [`FleetMonitor::with_quiet_counters`]) and replays every ingest batch
-//! the serving path processes. The candidate's alerts are *never
-//! emitted*; they are only compared against the serving model's alerts
-//! for the same batch, and the disagreement is published as
-//! `dds_shadow_*` counters:
+//! [`FleetMonitor`] (no gauges, no counters — its quality gate's
+//! included — and no history; see [`FleetMonitor::with_quiet_counters`])
+//! and replays every ingest batch the serving path processes. The
+//! candidate's alerts are *never emitted*; they are only compared against
+//! the serving model's alerts for the same batch, and the disagreement is
+//! published as `dds_shadow_*` counters:
 //!
 //! * `dds_shadow_batches_total` — batches shadow-scored,
 //! * `dds_shadow_alerts_serving_total` / `dds_shadow_alerts_candidate_total`

@@ -23,7 +23,7 @@ use crate::history::AlertHistory;
 use crate::monitor::{FleetMonitor, HealthStatus, MonitorConfig};
 use dds_core::quality::QualityStats;
 use dds_obs::journal::{BatchSpan, FlightRecorder, ShardSpan};
-use dds_obs::metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
+use dds_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
 use dds_smartsim::{DriveId, HealthRecord};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -83,9 +83,9 @@ struct ShardBatch {
 }
 
 /// Point-in-time state of one shard, for the `/shards` endpoint, the
-/// per-shard time-series rings behind `/timeseries`, and the scaling
-/// handbook's sizing checks.
-#[derive(Debug, Clone, Copy)]
+/// per-shard time series behind `/timeseries` and the shard SLOs, and the
+/// scaling handbook's sizing checks.
+#[derive(Debug, Clone)]
 pub struct ShardStatus {
     /// Shard index in `0..shards`.
     pub shard: usize,
@@ -97,15 +97,41 @@ pub struct ShardStatus {
     pub quality: QualityStats,
     /// Lifetime alerts this shard emitted.
     pub alerts_emitted: u64,
-    /// Lifetime batches this shard processed.
-    pub batches: u64,
-    /// Histogram-compatible bucket counts of this shard's per-batch wall
-    /// times (see [`Histogram::bucket_index`]); feeds the per-shard
-    /// latency quantiles in [`dds_obs::timeseries::ShardSeriesStore`].
-    pub batch_buckets: [u64; HISTOGRAM_BUCKETS],
+    /// This shard's per-batch worker wall times in seconds, over its
+    /// lifetime; the count is the number of batches it processed.
+    pub batch_seconds: HistogramSnapshot,
 }
 
 impl ShardStatus {
+    /// This shard's share of the fleet metrics, under the fleet's names:
+    /// accepted records (`dds_monitor_records_ingested_total`),
+    /// quarantined records (`dds_records_quarantined_total`), alerts
+    /// (`dds_monitor_alerts_total`) and batch durations
+    /// (`dds_ingest_batch_seconds`). Every counter is present even at
+    /// zero, so a window over a quiet shard answers a `0` rate, not
+    /// nothing. `dds serve` pushes one per fleet-hour into the shard's
+    /// own `TimeSeriesStore`, where the shard SLO rules read it.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot::default();
+        for (name, value) in [
+            ("dds_monitor_records_ingested_total", self.quality.accepted),
+            ("dds_records_quarantined_total", self.quality.quarantined),
+            ("dds_monitor_alerts_total", self.alerts_emitted),
+        ] {
+            snapshot.counters.insert(name.to_string(), value);
+        }
+        snapshot
+            .histograms
+            .insert("dds_ingest_batch_seconds".to_string(), self.batch_seconds.clone());
+        snapshot
+    }
+
+    /// The `/shards` endpoint document: shard count plus each status.
+    pub fn shards_json(statuses: &[ShardStatus]) -> String {
+        let per_shard: Vec<String> = statuses.iter().map(ShardStatus::to_json).collect();
+        format!("{{\"shards\": {}, \"per_shard\": [{}]}}", statuses.len(), per_shard.join(", "))
+    }
+
     /// Serializes the status as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
@@ -122,7 +148,7 @@ impl ShardStatus {
             self.quality.quarantined,
             self.quality.imputed_attrs,
             self.alerts_emitted,
-            self.batches,
+            self.batch_seconds.count,
         )
     }
 }
@@ -159,11 +185,10 @@ struct Worker {
 fn worker_loop(shard: usize, bundle: ModelBundle, config: MonitorConfig, jobs: Receiver<Job>) {
     let mut monitor = FleetMonitor::new(bundle, config).with_quiet_gauges();
     // Cheap per-shard lifetime tallies behind `/shards` and the
-    // per-shard time-series rings: two clock reads per *batch* (not per
-    // record) and a handful of integer adds, so they stay on even when
+    // per-shard time series: two clock reads per *batch* (not per
+    // record) and a handful of atomic adds, so they stay on even when
     // no recorder is attached.
-    let mut batches = 0u64;
-    let mut batch_buckets = [0u64; HISTOGRAM_BUCKETS];
+    let batch_seconds = Histogram::default();
     let mut alerts_emitted = 0u64;
     while let Ok(job) = jobs.recv() {
         match job {
@@ -175,37 +200,27 @@ fn worker_loop(shard: usize, bundle: ModelBundle, config: MonitorConfig, jobs: R
                 let mut quarantined = 0u64;
                 let mut sanitize_seconds = 0.0;
                 let mut ingest_seconds = 0.0;
-                if timed {
-                    // Per-record stage clocks for the flight recorder:
-                    // same sanitize→ingest composition as `try_ingest`,
-                    // with an `Instant` read between the stages.
-                    for (drive, record) in &records {
-                        let gate = Instant::now();
-                        let admitted = monitor.sanitize(*drive, record);
-                        sanitize_seconds += gate.elapsed().as_secs_f64();
-                        match admitted {
-                            Ok(cleaned) => {
-                                accepted += 1;
-                                let score = Instant::now();
-                                alerts.append(&mut monitor.ingest_sanitized(*drive, &cleaned));
-                                ingest_seconds += score.elapsed().as_secs_f64();
-                            }
-                            Err(_) => quarantined += 1,
+                // The same sanitize→ingest composition as `try_ingest`.
+                // The per-record stage clocks feed the flight recorder and
+                // run only when `timed`, so the untimed path reads no
+                // clock per record.
+                let clock = || timed.then(Instant::now);
+                let lap = |since: Option<Instant>| since.map_or(0.0, |t| t.elapsed().as_secs_f64());
+                for (drive, record) in &records {
+                    let gate = clock();
+                    let admitted = monitor.sanitize(*drive, record);
+                    sanitize_seconds += lap(gate);
+                    match admitted {
+                        Ok(cleaned) => {
+                            accepted += 1;
+                            let score = clock();
+                            alerts.append(&mut monitor.ingest_sanitized(*drive, &cleaned));
+                            ingest_seconds += lap(score);
                         }
-                    }
-                } else {
-                    for (drive, record) in &records {
-                        match monitor.try_ingest(*drive, record) {
-                            Ok(mut raised) => {
-                                accepted += 1;
-                                alerts.append(&mut raised);
-                            }
-                            Err(_) => quarantined += 1,
-                        }
+                        Err(_) => quarantined += 1,
                     }
                 }
-                batches += 1;
-                batch_buckets[Histogram::bucket_index(started.elapsed().as_secs_f64())] += 1;
+                batch_seconds.observe(started.elapsed().as_secs_f64());
                 alerts_emitted += alerts.len() as u64;
                 let status = monitor.health_status();
                 let _ = reply.send((
@@ -238,8 +253,7 @@ fn worker_loop(shard: usize, bundle: ModelBundle, config: MonitorConfig, jobs: R
                     latched: status.latched,
                     quality: *monitor.quality_stats(),
                     alerts_emitted,
-                    batches,
-                    batch_buckets,
+                    batch_seconds: batch_seconds.snapshot(),
                 });
             }
         }
@@ -514,13 +528,6 @@ impl ShardedFleetMonitor {
         statuses
     }
 
-    /// The `/shards` endpoint document: shard count plus per-shard state.
-    pub fn statuses_json(&self) -> String {
-        let per_shard: Vec<String> =
-            self.shard_statuses().iter().map(ShardStatus::to_json).collect();
-        format!("{{\"shards\": {}, \"per_shard\": [{}]}}", self.workers.len(), per_shard.join(", "))
-    }
-
     /// The fleet-wide serving summary, aggregated across shards (same
     /// shape as [`FleetMonitor::health_status`]).
     pub fn health_status(&self) -> HealthStatus {
@@ -765,9 +772,22 @@ mod tests {
         assert!(statuses.iter().all(|s| s.drives_tracked > 0), "test fleet spans all 4 shards");
         let accepted: u64 = statuses.iter().map(|s| s.quality.accepted).sum();
         assert_eq!(accepted, records.len() as u64);
-        let json = sharded.statuses_json();
+        let json = ShardStatus::shards_json(&statuses);
         dds_obs::json::validate(&json).expect("shards JSON");
         assert!(json.contains("\"shards\": 4"));
+
+        // The per-shard metrics view carries every counter, even at zero.
+        let snapshot = statuses[0].metrics_snapshot();
+        assert_eq!(
+            snapshot.counter_value("dds_monitor_records_ingested_total"),
+            Some(statuses[0].quality.accepted)
+        );
+        assert_eq!(snapshot.counter_value("dds_records_quarantined_total"), Some(0));
+        assert_eq!(
+            snapshot.counter_value("dds_monitor_alerts_total"),
+            Some(statuses[0].alerts_emitted)
+        );
+        assert_eq!(snapshot.histogram("dds_ingest_batch_seconds").map(|h| h.count), Some(1));
     }
 
     #[test]
@@ -872,9 +892,10 @@ mod tests {
         assert_eq!(accepted, sharded.quality_stats().accepted);
         // Per-shard lifetime tallies behind `/shards` saw every batch.
         let statuses = sharded.shard_statuses();
-        let shard_batches: u64 = statuses.iter().map(|s| s.batches).sum();
+        let shard_batches: u64 = statuses.iter().map(|s| s.batch_seconds.count).sum();
         assert!(shard_batches >= batches, "every batch hit at least one shard");
-        let bucketed: u64 = statuses.iter().map(|s| s.batch_buckets.iter().sum::<u64>()).sum();
+        let bucketed: u64 =
+            statuses.iter().map(|s| s.batch_seconds.buckets.iter().sum::<u64>()).sum();
         assert_eq!(bucketed, shard_batches, "every batch landed in exactly one bucket");
     }
 

@@ -16,7 +16,11 @@
 //!   behind `--trace-json`, an in-memory capturer for tests, and a tee.
 //! - [`metrics`] — counters, gauges and log-scale histograms registered
 //!   by name in a process-global [`Registry`](metrics::Registry);
-//!   snapshots export as JSON or Prometheus-style text.
+//!   snapshots export as JSON or Prometheus-style text. The histogram
+//!   bucket layout is private to this module: other code records through
+//!   [`Histogram::observe`](metrics::Histogram::observe) and reads
+//!   quantiles and windows off
+//!   [`HistogramSnapshot`](metrics::HistogramSnapshot).
 //! - [`profile`] — a [`StageProfiler`](profile::StageProfiler)
 //!   subscriber aggregating per-stage wall time, call counts, latency
 //!   quantiles and allocation counts.
@@ -35,12 +39,13 @@
 //!   shed/quarantine outcomes) behind `GET /trace`.
 //! - [`render`] — pure terminal-rendering primitives (braille
 //!   sparklines, bars, ASCII fallback) for the `dds top` dashboard.
-//! - [`timeseries`] — a ring buffer of registry snapshots
+//! - [`timeseries`] — a ring buffer of metrics snapshots
 //!   ([`TimeSeriesStore`](timeseries::TimeSeriesStore)) answering
-//!   sliding-window rate and quantile queries, plus per-shard rings
-//!   ([`ShardSeriesStore`](timeseries::ShardSeriesStore)).
+//!   sliding-window rate and quantile queries; `dds serve` keeps one for
+//!   the fleet and one per shard.
 //! - [`watchdog`] — an SLO rule engine ([`Watchdog`](watchdog::Watchdog))
-//!   evaluating window predicates and flipping a shared
+//!   evaluating window predicates on the fleet store and on every shard
+//!   store, and flipping a shared
 //!   [`HealthState`](watchdog::HealthState) to degraded.
 //!
 //! # Quick start

@@ -131,17 +131,23 @@ impl Info {
 }
 
 /// Number of histogram buckets (the last one is the `+Inf` overflow).
-pub const HISTOGRAM_BUCKETS: usize = 32;
+/// The bucket layout is private to this module: everything outside it
+/// records through [`Histogram::observe`] and reads through
+/// [`HistogramSnapshot`].
+const HISTOGRAM_BUCKETS: usize = 32;
 
 /// Smallest bucket upper bound. Buckets are log-scale: bucket `i` counts
 /// observations in `(HISTOGRAM_BASE·2^(i−1), HISTOGRAM_BASE·2^i]`, so the
 /// default base of 1 µs spans 1 µs … ~2000 s before overflowing.
-pub const HISTOGRAM_BASE: f64 = 1e-6;
+const HISTOGRAM_BASE: f64 = 1e-6;
 
 /// A histogram with fixed log-scale (powers-of-two) buckets.
 ///
 /// Updates are three relaxed atomic ops (bucket, count, sum); no locks.
 /// Designed for durations in seconds but accepts any non-negative `f64`.
+/// Besides the registry's named histograms, components keep private ones
+/// (a shard worker's batch durations, a profiler stage's span durations)
+/// and hand out their [`snapshot`](Histogram::snapshot)s.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -170,11 +176,8 @@ impl Histogram {
     }
 
     /// The bucket a value falls into — the inverse of
-    /// [`bucket_upper_bound`](Histogram::bucket_upper_bound). Public so
-    /// external accumulators (per-shard batch-duration rings) can build
-    /// histogram-compatible bucket arrays that
-    /// [`quantile_from_buckets`] understands.
-    pub fn bucket_index(value: f64) -> usize {
+    /// [`bucket_upper_bound`](Histogram::bucket_upper_bound).
+    fn bucket_index(value: f64) -> usize {
         if value.is_nan() || value <= HISTOGRAM_BASE {
             // Covers tiny, zero, negative and NaN observations.
             return 0;
@@ -224,7 +227,8 @@ impl Histogram {
         self.sum_bits.store(0, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> HistogramSnapshot {
+    /// A point-in-time copy of the counts, sum and buckets.
+    pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count(),
             sum: self.sum(),
@@ -242,7 +246,7 @@ impl Histogram {
 /// factor of 2 on the log-scale layout). The overflow bucket has no upper
 /// bound, so ranks falling there return its lower bound. Returns `None`
 /// when no observations were recorded.
-pub fn quantile_from_buckets(buckets: &[u64], q: f64) -> Option<f64> {
+fn quantile_from_buckets(buckets: &[u64], q: f64) -> Option<f64> {
     let count: u64 = buckets.iter().sum();
     if count == 0 || !(0.0..=1.0).contains(&q) {
         return None;
@@ -403,7 +407,7 @@ pub fn publish_quantile_gauges(registry: &Registry) {
     let snapshot = registry.snapshot();
     for (name, hist) in &snapshot.histograms {
         for (q, suffix) in [(0.5, "p50"), (0.95, "p95"), (0.99, "p99")] {
-            if let Some(value) = quantile_from_buckets(&hist.buckets, q) {
+            if let Some(value) = hist.quantile(q) {
                 registry.gauge(&format!("{name}_{suffix}")).set(value);
             }
         }
@@ -438,10 +442,30 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Estimated `q`-quantile from the bucket counts (see
-    /// [`quantile_from_buckets`] for the error bound).
+    /// Estimated `q`-quantile from the bucket counts, accurate to the
+    /// bucket width (a factor of 2 on the log-scale layout). `None` when
+    /// no observations were recorded.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         quantile_from_buckets(&self.buckets, q)
+    }
+
+    /// The observations recorded after `older` was taken: count, sum and
+    /// every bucket minus `older`'s, clamped at zero (a histogram reset
+    /// in between yields an empty window, never a negative one). `None`
+    /// means nothing had been recorded then. This is how a sliding window
+    /// turns two cumulative snapshots into a windowed histogram.
+    pub(crate) fn since(&self, older: Option<&HistogramSnapshot>) -> HistogramSnapshot {
+        let Some(older) = older else { return self.clone() };
+        HistogramSnapshot {
+            count: self.count.saturating_sub(older.count),
+            sum: (self.sum - older.sum).max(0.0),
+            buckets: self
+                .buckets
+                .iter()
+                .zip(&older.buckets)
+                .map(|(n, o)| n.saturating_sub(*o))
+                .collect(),
+        }
     }
 }
 
@@ -718,6 +742,26 @@ mod tests {
         buckets[HISTOGRAM_BUCKETS - 1] = 4;
         let p = quantile_from_buckets(&buckets, 0.5).unwrap();
         assert_eq!(p, Histogram::bucket_upper_bound(HISTOGRAM_BUCKETS - 2));
+    }
+
+    #[test]
+    fn since_subtracts_an_older_snapshot() {
+        let h = Histogram::default();
+        h.observe(1.5e-3);
+        let older = h.snapshot();
+        h.observe(3e-6);
+        h.observe(3e-6);
+        let window = h.snapshot().since(Some(&older));
+        assert_eq!(window.count, 2);
+        assert!((window.sum - 6e-6).abs() < 1e-12);
+        assert!(window.quantile(0.99).unwrap() <= 4e-6, "the slow observation left the window");
+        // Nothing recorded before: the window is the whole snapshot.
+        assert_eq!(h.snapshot().since(None), h.snapshot());
+        // A reset in between clamps to an empty window.
+        let reset = Histogram::default().snapshot().since(Some(&older));
+        assert_eq!(reset.count, 0);
+        assert_eq!(reset.sum, 0.0);
+        assert_eq!(reset.quantile(0.5), None);
     }
 
     #[test]

@@ -27,14 +27,14 @@
 //! println!("{}", profiler.render_table());
 //! ```
 
-use crate::metrics::{quantile_from_buckets, Histogram, HISTOGRAM_BUCKETS};
+use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::trace::{EventInfo, Level, SpanInfo, SpanTiming, Subscriber};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// Accumulated cost of one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageStats {
     /// How many spans with this name closed.
     pub calls: u64,
@@ -43,9 +43,8 @@ pub struct StageStats {
     /// Total heap-allocation delta across those spans (`0` unless the
     /// binary installs [`CountingAllocator`](crate::CountingAllocator)).
     pub allocations: u64,
-    /// Per-span duration distribution on the metrics crate's log-scale
-    /// bucket grid (seconds), feeding the quantile columns.
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
+    /// Per-span durations in seconds, feeding the quantile columns.
+    pub durations: HistogramSnapshot,
 }
 
 impl StageStats {
@@ -57,8 +56,17 @@ impl StageStats {
     /// Estimated `q`-quantile of the per-span duration, from the bucket
     /// distribution (so accurate to bucket resolution — a factor of two).
     pub fn quantile(&self, q: f64) -> Option<Duration> {
-        quantile_from_buckets(&self.buckets, q).map(Duration::from_secs_f64)
+        self.durations.quantile(q).map(Duration::from_secs_f64)
     }
+}
+
+/// What the profiler accumulates per span name; [`StageStats`] is its
+/// point-in-time copy.
+#[derive(Debug, Default)]
+struct Stage {
+    total: Duration,
+    allocations: u64,
+    durations: Histogram,
 }
 
 /// A subscriber that aggregates span timings by span name.
@@ -69,18 +77,31 @@ impl StageStats {
 #[derive(Debug)]
 pub struct StageProfiler {
     min_level: Level,
-    stats: Mutex<BTreeMap<&'static str, StageStats>>,
+    stages: Mutex<BTreeMap<&'static str, Stage>>,
 }
 
 impl StageProfiler {
     /// Creates a profiler aggregating spans at `min_level` and above.
     pub fn new(min_level: Level) -> Self {
-        StageProfiler { min_level, stats: Mutex::new(BTreeMap::new()) }
+        StageProfiler { min_level, stages: Mutex::new(BTreeMap::new()) }
     }
 
     /// A copy of the per-stage stats accumulated so far.
     pub fn stats(&self) -> BTreeMap<&'static str, StageStats> {
-        self.stats.lock().map(|s| s.clone()).unwrap_or_default()
+        let Ok(stages) = self.stages.lock() else { return BTreeMap::new() };
+        stages
+            .iter()
+            .map(|(&name, stage)| {
+                let durations = stage.durations.snapshot();
+                let stats = StageStats {
+                    calls: durations.count,
+                    total: stage.total,
+                    allocations: stage.allocations,
+                    durations,
+                };
+                (name, stats)
+            })
+            .collect()
     }
 
     /// Renders the stats as an aligned text table (stage, calls, total
@@ -158,12 +179,11 @@ impl Subscriber for StageProfiler {
     fn on_span_start(&self, _span: &SpanInfo<'_>) {}
 
     fn on_span_end(&self, span: &SpanInfo<'_>, timing: &SpanTiming) {
-        if let Ok(mut stats) = self.stats.lock() {
-            let entry = stats.entry(span.name).or_default();
-            entry.calls += 1;
-            entry.total += timing.elapsed;
-            entry.allocations += timing.allocations;
-            entry.buckets[Histogram::bucket_index(timing.elapsed.as_secs_f64())] += 1;
+        if let Ok(mut stages) = self.stages.lock() {
+            let stage = stages.entry(span.name).or_default();
+            stage.total += timing.elapsed;
+            stage.allocations += timing.allocations;
+            stage.durations.observe(timing.elapsed.as_secs_f64());
         }
     }
 
@@ -213,7 +233,7 @@ mod tests {
 
         let stats = profiler.stats();
         let stat = &stats["p.q"];
-        assert_eq!(stat.buckets.iter().sum::<u64>(), 4, "one bucket entry per span");
+        assert_eq!(stat.durations.buckets.iter().sum::<u64>(), 4, "one bucket entry per span");
         let p50 = stat.quantile(0.50).expect("p50");
         let p99 = stat.quantile(0.99).expect("p99");
         assert!(p50 <= p99);

@@ -6,12 +6,17 @@
 //! are lifetime totals, which is the right exchange format for Prometheus
 //! (it differentiates server-side) but useless for a watchdog that must
 //! ask "what happened in the last minute?". [`TimeSeriesStore`] fills that
-//! gap: a sampler calls [`sample`](TimeSeriesStore::sample) on a fixed
-//! tick, the store keeps the last `capacity` snapshots, and window
+//! gap: a sampler [`push`](TimeSeriesStore::push)es a timestamped snapshot
+//! on a fixed tick, the store keeps the last `capacity` snapshots, and window
 //! queries subtract the snapshot at the window's left edge from the
 //! newest one — counters become rates, cumulative histogram buckets
 //! become a windowed histogram whose quantiles describe only recent
 //! observations.
+//!
+//! A store need not mirror the global registry. `dds serve` also keeps
+//! one store per shard and pushes a snapshot built from each shard's
+//! status at the same instants, so per-shard windows answer through the
+//! same queries (and the same watchdog rules) as the fleet's.
 //!
 //! # Example
 //!
@@ -31,18 +36,18 @@
 //! assert!((rate - 3.0).abs() < 1e-9); // 30 events over 10 s
 //! ```
 
-use crate::metrics::{quantile_from_buckets, MetricsSnapshot, Registry};
+use crate::metrics::MetricsSnapshot;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One retained sample: the registry state at `elapsed` since the store
-/// was created.
+/// One retained sample: the metrics state at `elapsed` on the sampler's
+/// clock.
 #[derive(Debug, Clone)]
 pub struct TimePoint {
-    /// Time since the store's creation when the sample was taken.
+    /// The sampler's clock reading when the sample was taken.
     pub elapsed: Duration,
-    /// The registry state at that instant.
+    /// The metrics state at that instant.
     pub snapshot: MetricsSnapshot,
 }
 
@@ -53,7 +58,6 @@ pub struct TimePoint {
 #[derive(Debug)]
 pub struct TimeSeriesStore {
     capacity: usize,
-    start: Instant,
     points: Mutex<VecDeque<TimePoint>>,
 }
 
@@ -61,22 +65,11 @@ impl TimeSeriesStore {
     /// Creates a store retaining the most recent `capacity` samples
     /// (minimum 2 — a window needs two edges).
     pub fn new(capacity: usize) -> Self {
-        TimeSeriesStore {
-            capacity: capacity.max(2),
-            start: Instant::now(),
-            points: Mutex::new(VecDeque::new()),
-        }
+        TimeSeriesStore { capacity: capacity.max(2), points: Mutex::new(VecDeque::new()) }
     }
 
-    /// Samples `registry` now. Call on a fixed tick.
-    pub fn sample(&self, registry: &Registry) {
-        self.push(self.start.elapsed(), registry.snapshot());
-    }
-
-    /// Appends a snapshot with an explicit timestamp (what
-    /// [`sample`](TimeSeriesStore::sample) does with the wall clock;
-    /// exposed so tests can drive deterministic timelines). Samples must
-    /// be pushed in non-decreasing `elapsed` order.
+    /// Appends a snapshot taken at `elapsed` on the sampler's clock.
+    /// Samples must be pushed in non-decreasing `elapsed` order.
     pub fn push(&self, elapsed: Duration, snapshot: MetricsSnapshot) {
         let mut points = self.points.lock().expect("timeseries poisoned");
         if points.len() == self.capacity {
@@ -135,8 +128,7 @@ impl TimeSeriesStore {
     pub fn window_count(&self, name: &str, window: Duration) -> Option<u64> {
         let (oldest, newest) = self.window_edges(window)?;
         let new = newest.snapshot.histogram(name)?;
-        let old = oldest.snapshot.histogram(name).map(|h| h.count).unwrap_or(0);
-        Some(new.count.saturating_sub(old))
+        Some(new.since(oldest.snapshot.histogram(name)).count)
     }
 
     /// The estimated `q`-quantile of histogram `name` over the trailing
@@ -147,14 +139,7 @@ impl TimeSeriesStore {
     pub fn window_quantile(&self, name: &str, window: Duration, q: f64) -> Option<f64> {
         let (oldest, newest) = self.window_edges(window)?;
         let new = newest.snapshot.histogram(name)?;
-        let old = oldest.snapshot.histogram(name);
-        let buckets: Vec<u64> = new
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| n.saturating_sub(old.map(|h| h.buckets[i]).unwrap_or(0)))
-            .collect();
-        quantile_from_buckets(&buckets, q)
+        new.since(oldest.snapshot.histogram(name)).quantile(q)
     }
 
     /// Per-interval rates of counter `name` over the most recent `n`
@@ -192,186 +177,7 @@ impl TimeSeriesStore {
             .windows(2)
             .map(|pair| {
                 let Some(new) = pair[1].snapshot.histogram(name) else { return 0.0 };
-                let old = pair[0].snapshot.histogram(name);
-                let buckets: Vec<u64> = new
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| b.saturating_sub(old.map(|h| h.buckets[i]).unwrap_or(0)))
-                    .collect();
-                quantile_from_buckets(&buckets, q).unwrap_or(0.0)
-            })
-            .collect()
-    }
-}
-
-/// One per-shard cumulative sample, published by the serve loop from
-/// [`ShardStatus`]-style worker state after every ingested batch tick.
-/// All fields are lifetime totals — window queries subtract edges, the
-/// same discipline as [`MetricsSnapshot`] counters.
-///
-/// [`ShardStatus`]: https://docs.rs/dds-monitor
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSample {
-    /// Records past this shard's quality gate (lifetime).
-    pub accepted: u64,
-    /// Records quarantined by this shard's quality gate (lifetime).
-    pub quarantined: u64,
-    /// Alerts this shard has emitted (lifetime).
-    pub alerts: u64,
-    /// Batches this shard's worker has processed (lifetime).
-    pub batches: u64,
-    /// Cumulative per-batch worker-duration histogram buckets, in the
-    /// registry's log-scale layout ([`crate::metrics::HISTOGRAM_BUCKETS`]
-    /// buckets, indexed by [`crate::metrics::Histogram::bucket_index`]).
-    pub batch_buckets: [u64; crate::metrics::HISTOGRAM_BUCKETS],
-}
-
-impl Default for ShardSample {
-    fn default() -> Self {
-        ShardSample {
-            accepted: 0,
-            quarantined: 0,
-            alerts: 0,
-            batches: 0,
-            batch_buckets: [0; crate::metrics::HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-/// Per-shard sliding-window rings: one bounded sample ring per shard,
-/// answering the same window queries as [`TimeSeriesStore`] but scoped to
-/// a single shard — so the watchdog and `/timeseries` can name *which*
-/// shard is slow, shedding work to quarantine, or spiking alerts.
-///
-/// All methods take `&self`; the store is shared between the serve loop
-/// (writer) and HTTP scrape handlers (readers).
-#[derive(Debug)]
-pub struct ShardSeriesStore {
-    capacity: usize,
-    start: Instant,
-    shards: Vec<Mutex<VecDeque<(Duration, ShardSample)>>>,
-}
-
-impl ShardSeriesStore {
-    /// Creates a store for `shards` shards, each retaining the most
-    /// recent `capacity` samples (minimum 2 — a window needs two edges).
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        ShardSeriesStore {
-            capacity: capacity.max(2),
-            start: Instant::now(),
-            shards: (0..shards.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
-        }
-    }
-
-    /// Number of shards the store tracks.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Samples one shard now (wall clock). Out-of-range shards are
-    /// ignored.
-    pub fn sample(&self, shard: usize, sample: ShardSample) {
-        self.push(shard, self.start.elapsed(), sample);
-    }
-
-    /// Appends a sample with an explicit timestamp (the deterministic
-    /// hook tests drive; [`sample`](ShardSeriesStore::sample) is the
-    /// wall-clock wrapper). Samples must arrive in non-decreasing
-    /// `elapsed` order per shard.
-    pub fn push(&self, shard: usize, elapsed: Duration, sample: ShardSample) {
-        let Some(ring) = self.shards.get(shard) else { return };
-        let mut points = ring.lock().expect("shard series poisoned");
-        if points.len() == self.capacity {
-            points.pop_front();
-        }
-        points.push_back((elapsed, sample));
-    }
-
-    /// Number of retained samples for `shard` (0 for out-of-range shards).
-    pub fn len(&self, shard: usize) -> usize {
-        self.shards.get(shard).and_then(|r| r.lock().ok()).map(|p| p.len()).unwrap_or(0)
-    }
-
-    /// Whether `shard` has no samples yet.
-    pub fn is_empty(&self, shard: usize) -> bool {
-        self.len(shard) == 0
-    }
-
-    /// The newest sample and the oldest retained sample no older than
-    /// `window` before it, for one shard.
-    fn window_edges(
-        &self,
-        shard: usize,
-        window: Duration,
-    ) -> Option<((Duration, ShardSample), (Duration, ShardSample))> {
-        let points = self.shards.get(shard)?.lock().ok()?;
-        let newest = *points.back()?;
-        let left_edge = newest.0.saturating_sub(window);
-        let oldest = *points.iter().find(|(t, _)| *t >= left_edge)?;
-        (newest.0 > oldest.0).then_some((oldest, newest))
-    }
-
-    /// Windowed rate (events/sec) of one cumulative field, chosen by
-    /// `field`. `None` until two samples span a nonzero interval.
-    fn field_rate(
-        &self,
-        shard: usize,
-        window: Duration,
-        field: fn(&ShardSample) -> u64,
-    ) -> Option<f64> {
-        let ((t0, s0), (t1, s1)) = self.window_edges(shard, window)?;
-        let dt = (t1 - t0).as_secs_f64();
-        (dt > 0.0).then(|| field(&s1).saturating_sub(field(&s0)) as f64 / dt)
-    }
-
-    /// Records/sec past this shard's quality gate over the trailing
-    /// `window`.
-    pub fn accepted_per_sec(&self, shard: usize, window: Duration) -> Option<f64> {
-        self.field_rate(shard, window, |s| s.accepted)
-    }
-
-    /// Records/sec quarantined by this shard over the trailing `window`.
-    pub fn quarantine_per_sec(&self, shard: usize, window: Duration) -> Option<f64> {
-        self.field_rate(shard, window, |s| s.quarantined)
-    }
-
-    /// Alerts/min emitted by this shard over the trailing `window`.
-    pub fn alert_per_min(&self, shard: usize, window: Duration) -> Option<f64> {
-        self.field_rate(shard, window, |s| s.alerts).map(|r| r * 60.0)
-    }
-
-    /// The estimated `q`-quantile of this shard's per-batch worker
-    /// duration over the trailing `window` (bucket subtraction, like
-    /// [`TimeSeriesStore::window_quantile`]). `None` when the window saw
-    /// no batches.
-    pub fn batch_quantile(&self, shard: usize, window: Duration, q: f64) -> Option<f64> {
-        let ((_, s0), (_, s1)) = self.window_edges(shard, window)?;
-        let buckets: Vec<u64> = s1
-            .batch_buckets
-            .iter()
-            .zip(s0.batch_buckets.iter())
-            .map(|(&new, &old)| new.saturating_sub(old))
-            .collect();
-        quantile_from_buckets(&buckets, q)
-    }
-
-    /// Per-interval accepted-record rates over the most recent `n`
-    /// consecutive sample pairs, oldest first — the per-shard sparkline
-    /// feed. Zero-length intervals contribute `0.0`.
-    pub fn accepted_series(&self, shard: usize, n: usize) -> Vec<f64> {
-        let Some(ring) = self.shards.get(shard) else { return Vec::new() };
-        let Ok(points) = ring.lock() else { return Vec::new() };
-        let points: Vec<(Duration, ShardSample)> = points.iter().copied().collect();
-        let skip = points.len().saturating_sub(n + 1);
-        points[skip..]
-            .windows(2)
-            .map(|pair| {
-                let dt = pair[1].0.saturating_sub(pair[0].0).as_secs_f64();
-                if dt <= 0.0 {
-                    return 0.0;
-                }
-                pair[1].1.accepted.saturating_sub(pair[0].1.accepted) as f64 / dt
+                new.since(pair[0].snapshot.histogram(name)).quantile(q).unwrap_or(0.0)
             })
             .collect()
     }
@@ -380,6 +186,7 @@ impl ShardSeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Registry;
 
     fn snapshot_with_counter(name: &str, value: u64) -> MetricsSnapshot {
         let registry = Registry::new();
@@ -444,16 +251,6 @@ mod tests {
         let windowed = store.window_quantile("h_seconds", Duration::from_secs(10), 0.99).unwrap();
         assert!(windowed <= 4e-6, "windowed p99 {windowed}");
         assert_eq!(store.window_count("h_seconds", Duration::from_secs(10)), Some(100));
-    }
-
-    #[test]
-    fn sample_reads_a_live_registry() {
-        let registry = Registry::new();
-        registry.counter("s_total").add(5);
-        let store = TimeSeriesStore::new(4);
-        store.sample(&registry);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.latest().unwrap().snapshot.counter_value("s_total"), Some(5));
     }
 
     // --- edge cases: empty windows, single samples, saturation, time ---
@@ -531,79 +328,5 @@ mod tests {
         let r = store.rate_per_sec("c_total", Duration::from_secs(60)).unwrap();
         assert_eq!(r, 0.0);
         assert!(store.rate_series("c_total", 8).iter().all(|&v| v >= 0.0));
-    }
-
-    // --- per-shard series ---
-
-    fn shard_sample(accepted: u64, quarantined: u64, alerts: u64, batch_ms: &[f64]) -> ShardSample {
-        let mut sample = ShardSample {
-            accepted,
-            quarantined,
-            alerts,
-            batches: batch_ms.len() as u64,
-            ..ShardSample::default()
-        };
-        for &ms in batch_ms {
-            sample.batch_buckets[crate::metrics::Histogram::bucket_index(ms * 1e-3)] += 1;
-        }
-        sample
-    }
-
-    #[test]
-    fn shard_series_windows_are_per_shard() {
-        let store = ShardSeriesStore::new(2, 8);
-        assert_eq!(store.shards(), 2);
-        // Shard 0: steady fast batches. Shard 1: slow, quarantining.
-        store.push(0, Duration::from_secs(0), shard_sample(0, 0, 0, &[]));
-        store.push(1, Duration::from_secs(0), shard_sample(0, 0, 0, &[]));
-        store.push(0, Duration::from_secs(10), shard_sample(1_000, 0, 5, &[1.0, 1.0]));
-        store.push(1, Duration::from_secs(10), shard_sample(100, 400, 60, &[500.0, 900.0]));
-
-        let w = Duration::from_secs(60);
-        assert!((store.accepted_per_sec(0, w).unwrap() - 100.0).abs() < 1e-9);
-        assert!((store.accepted_per_sec(1, w).unwrap() - 10.0).abs() < 1e-9);
-        assert_eq!(store.quarantine_per_sec(0, w), Some(0.0));
-        assert!((store.quarantine_per_sec(1, w).unwrap() - 40.0).abs() < 1e-9);
-        assert!((store.alert_per_min(1, w).unwrap() - 360.0).abs() < 1e-9);
-        // The slow shard's p99 is ~1000x the fast shard's.
-        let fast = store.batch_quantile(0, w, 0.99).unwrap();
-        let slow = store.batch_quantile(1, w, 0.99).unwrap();
-        assert!(slow > 100.0 * fast, "fast {fast}, slow {slow}");
-        // Sparkline series come from consecutive intervals.
-        assert_eq!(store.accepted_series(0, 8), vec![100.0]);
-    }
-
-    #[test]
-    fn shard_series_edge_cases_mirror_the_fleet_store() {
-        let store = ShardSeriesStore::new(1, 4);
-        let w = Duration::from_secs(60);
-        // Empty and single-sample shards answer None.
-        assert!(store.is_empty(0));
-        assert_eq!(store.accepted_per_sec(0, w), None);
-        store.push(0, Duration::from_secs(1), shard_sample(10, 0, 0, &[1.0]));
-        assert_eq!(store.accepted_per_sec(0, w), None);
-        assert_eq!(store.batch_quantile(0, w, 0.5), None);
-        // Out-of-range shards are inert, not panics.
-        store.push(9, Duration::from_secs(2), ShardSample::default());
-        assert_eq!(store.len(9), 0);
-        assert_eq!(store.accepted_per_sec(9, w), None);
-        assert!(store.accepted_series(9, 4).is_empty());
-        // Saturation: the ring keeps the newest `capacity` samples.
-        for t in 2..20u64 {
-            store.push(0, Duration::from_secs(t), shard_sample(t * 10, 0, 0, &[]));
-        }
-        assert_eq!(store.len(0), 4);
-        let r = store.accepted_per_sec(0, Duration::from_secs(1_000_000)).unwrap();
-        assert!((r - 10.0).abs() < 1e-9);
-        // A stalled clock yields no window...
-        let stalled = ShardSeriesStore::new(1, 4);
-        stalled.push(0, Duration::from_secs(5), shard_sample(10, 0, 0, &[]));
-        stalled.push(0, Duration::from_secs(5), shard_sample(20, 0, 0, &[]));
-        assert_eq!(stalled.accepted_per_sec(0, w), None);
-        // ...and a cumulative-count regression clamps to zero.
-        let reset = ShardSeriesStore::new(1, 4);
-        reset.push(0, Duration::from_secs(0), shard_sample(500, 0, 0, &[]));
-        reset.push(0, Duration::from_secs(10), shard_sample(50, 0, 0, &[]));
-        assert_eq!(reset.accepted_per_sec(0, w), Some(0.0));
     }
 }

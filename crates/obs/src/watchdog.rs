@@ -10,6 +10,10 @@
 //! in `dds_watchdog_violations_total`, and flips the shared
 //! [`HealthState`] to degraded; a clean evaluation clears the degradation
 //! again. `/healthz` reads the same [`HealthState`].
+//! [`Watchdog::evaluate_shards`] runs the same rules on one store per
+//! shard ([`Watchdog::shard_rules`] in `dds serve`) and reports through
+//! the same path, prefixing each message with the shard it names; that
+//! pass only ever degrades.
 //!
 //! # Example
 //!
@@ -36,7 +40,7 @@
 //! assert!(watchdog.health().is_degraded());
 //! ```
 
-use crate::timeseries::{ShardSeriesStore, TimeSeriesStore};
+use crate::timeseries::TimeSeriesStore;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -241,19 +245,7 @@ impl SloRule {
                 })
             }
             SloRule::QuarantineBudget { quarantined, accepted, max_ratio, window } => {
-                // A stream with zero quarantines may never have registered
-                // the quarantine counter at all — treat a missing series as
-                // a zero rate rather than a vacuous pass, so a fully
-                // corrupt stream (accepted counter missing instead) still
-                // trips the rule.
-                let q_rate = store.rate_per_sec(quarantined, *window).unwrap_or(0.0);
-                let a_rate = store.rate_per_sec(accepted, *window).unwrap_or(0.0);
-                let offered = q_rate + a_rate;
-                if offered <= 0.0 {
-                    return None;
-                }
-                let ratio = q_rate / offered;
-                (ratio > *max_ratio).then(|| {
+                ratio_over_budget(store, quarantined, accepted, *max_ratio, *window).map(|ratio| {
                     format!(
                         "{quarantined} ratio {ratio:.4} of offered records exceeds \
                          quarantine budget {max_ratio:.4}"
@@ -261,17 +253,7 @@ impl SloRule {
                 })
             }
             SloRule::ShedBudget { shed, accepted, max_ratio, window } => {
-                // Same missing-series discipline as the quarantine budget:
-                // a gateway that sheds everything may never grow the
-                // accepted counter, and must still trip.
-                let s_rate = store.rate_per_sec(shed, *window).unwrap_or(0.0);
-                let a_rate = store.rate_per_sec(accepted, *window).unwrap_or(0.0);
-                let offered = s_rate + a_rate;
-                if offered <= 0.0 {
-                    return None;
-                }
-                let ratio = s_rate / offered;
-                (ratio > *max_ratio).then(|| {
+                ratio_over_budget(store, shed, accepted, *max_ratio, *window).map(|ratio| {
                     format!(
                         "{shed} ratio {ratio:.4} of offered records exceeds \
                          shed budget {max_ratio:.4}"
@@ -279,17 +261,7 @@ impl SloRule {
                 })
             }
             SloRule::DriftBudget { drifted, clean, max_ratio, window } => {
-                // Same missing-series discipline as the quarantine budget:
-                // a fully drifted stream may never grow the clean counter,
-                // and must still trip.
-                let d_rate = store.rate_per_sec(drifted, *window).unwrap_or(0.0);
-                let c_rate = store.rate_per_sec(clean, *window).unwrap_or(0.0);
-                let examined = d_rate + c_rate;
-                if examined <= 0.0 {
-                    return None;
-                }
-                let ratio = d_rate / examined;
-                (ratio > *max_ratio).then(|| {
+                ratio_over_budget(store, drifted, clean, *max_ratio, *window).map(|ratio| {
                     format!(
                         "{drifted} ratio {ratio:.4} of examined records exceeds \
                          drift budget {max_ratio:.4}"
@@ -300,6 +272,29 @@ impl SloRule {
     }
 }
 
+/// The ratio test shared by the quarantine, shed and drift budgets: the
+/// windowed rate of `part` as a share of `part + rest` (the two counters
+/// partition one stream), returned when it exceeds `max_ratio`.
+///
+/// A missing series counts as a zero rate rather than a vacuous pass: a
+/// stream where every record lands in `part` may never register `rest`,
+/// and must still trip. A window where neither counter grows passes.
+fn ratio_over_budget(
+    store: &TimeSeriesStore,
+    part: &str,
+    rest: &str,
+    max_ratio: f64,
+    window: Duration,
+) -> Option<f64> {
+    let part_rate = store.rate_per_sec(part, window).unwrap_or(0.0);
+    let total = part_rate + store.rate_per_sec(rest, window).unwrap_or(0.0);
+    if total <= 0.0 {
+        return None;
+    }
+    let ratio = part_rate / total;
+    (ratio > max_ratio).then_some(ratio)
+}
+
 /// One tripped rule from an evaluation pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
@@ -307,39 +302,6 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable description with the observed and limit values.
     pub message: String,
-}
-
-/// Per-shard SLO thresholds evaluated against a
-/// [`ShardSeriesStore`] so the watchdog can *name* the offending shard
-/// instead of reporting only an aggregate breach.
-///
-/// The fleet-level rules in [`Watchdog::standard_rules`] fire on
-/// aggregate metrics; when one shard is slow behind a healthy average,
-/// the aggregate hides it. These thresholds run per shard over the same
-/// sliding windows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSlo {
-    /// Per-shard batch-latency p99 ceiling in seconds.
-    pub batch_p99_ceiling_seconds: f64,
-    /// Maximum tolerated per-shard quarantine fraction of offered
-    /// records, in `0..=1`.
-    pub quarantine_max_ratio: f64,
-    /// Trailing window to evaluate over.
-    pub window: Duration,
-}
-
-impl ShardSlo {
-    /// The standard per-shard thresholds: batch p99 under 5 s and a 10%
-    /// quarantine budget over the trailing minute. The batch ceiling is
-    /// deliberately generous — a serving-path batch is thousands of
-    /// records, not one — so only a genuinely wedged shard trips it.
-    pub fn standard() -> Self {
-        ShardSlo {
-            batch_p99_ceiling_seconds: 5.0,
-            quarantine_max_ratio: 0.10,
-            window: Duration::from_secs(60),
-        }
-    }
 }
 
 /// Evaluates a fixed rule set against the time series and maintains the
@@ -417,90 +379,91 @@ impl Watchdog {
         ]
     }
 
+    /// The per-shard rule set: a 5 s batch-duration p99 ceiling and a 10%
+    /// quarantine budget, both over the trailing minute, run on every
+    /// shard's own store by [`Watchdog::evaluate_shards`]. A shard's store
+    /// carries the fleet's metric names, each holding that shard's share.
+    /// The batch ceiling is deliberately generous — a serving-path batch
+    /// is thousands of records, not one — so only a genuinely wedged
+    /// shard trips it.
+    pub fn shard_rules() -> Vec<SloRule> {
+        vec![
+            SloRule::LatencyCeiling {
+                histogram: "dds_ingest_batch_seconds".into(),
+                quantile: 0.99,
+                ceiling_seconds: 5.0,
+                window: Duration::from_secs(60),
+            },
+            SloRule::QuarantineBudget {
+                quarantined: "dds_records_quarantined_total".into(),
+                accepted: "dds_monitor_records_ingested_total".into(),
+                max_ratio: 0.10,
+                window: Duration::from_secs(60),
+            },
+        ]
+    }
+
     /// Runs every rule against `store`. Violations degrade the health
     /// state, fire one `Warn` event each and increment
     /// `dds_watchdog_violations_total`; a pass with no violations clears
     /// the degradation (the service self-heals when the window drains).
     pub fn evaluate(&self, store: &TimeSeriesStore) -> Vec<Violation> {
-        let violations: Vec<Violation> = self
-            .rules
-            .iter()
-            .filter_map(|rule| {
-                rule.check(store).map(|message| Violation { rule: rule.name(), message })
-            })
-            .collect();
+        let violations: Vec<Violation> = check_rules(&self.rules, store).collect();
         if violations.is_empty() {
             self.health.clear_degraded();
-        } else {
-            let registry = crate::metrics::global();
-            for violation in &violations {
-                registry.counter("dds_watchdog_violations_total").inc();
-                crate::event!(
-                    crate::Level::Warn,
-                    "watchdog.slo_violation",
-                    rule = violation.rule,
-                    detail = violation.message.clone(),
-                );
-            }
-            self.health.degrade(&violations[0].message);
         }
+        self.report(&violations);
         violations
     }
 
-    /// Runs the per-shard thresholds against every shard's sliding
-    /// window, so violations carry shard attribution ("shard 3 batch
-    /// p99 …"). Degrade-only: a clean pass here never *clears* the
-    /// health state, so call [`Watchdog::evaluate`] first each tick (it
-    /// clears on a clean fleet pass) and this afterwards. Shards with
-    /// too few samples to span a window pass vacuously.
-    pub fn evaluate_shards(&self, series: &ShardSeriesStore, slo: &ShardSlo) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        for shard in 0..series.shards() {
-            if let Some(p99) = series.batch_quantile(shard, slo.window, 0.99) {
-                if p99 > slo.batch_p99_ceiling_seconds {
-                    violations.push(Violation {
-                        rule: "shard_latency_ceiling",
-                        message: format!(
-                            "shard {shard} batch p99 = {p99:.6}s over {:.0}s window exceeds \
-                             ceiling {:.6}s",
-                            slo.window.as_secs_f64(),
-                            slo.batch_p99_ceiling_seconds,
-                        ),
-                    });
-                }
-            }
-            let q_rate = series.quarantine_per_sec(shard, slo.window).unwrap_or(0.0);
-            let a_rate = series.accepted_per_sec(shard, slo.window).unwrap_or(0.0);
-            let offered = q_rate + a_rate;
-            if offered > 0.0 {
-                let ratio = q_rate / offered;
-                if ratio > slo.quarantine_max_ratio {
-                    violations.push(Violation {
-                        rule: "shard_quarantine_budget",
-                        message: format!(
-                            "shard {shard} quarantine ratio {ratio:.4} of offered records \
-                             exceeds quarantine budget {:.4}",
-                            slo.quarantine_max_ratio,
-                        ),
-                    });
-                }
-            }
-        }
-        if !violations.is_empty() {
-            let registry = crate::metrics::global();
-            for violation in &violations {
-                registry.counter("dds_watchdog_violations_total").inc();
-                crate::event!(
-                    crate::Level::Warn,
-                    "watchdog.shard_slo_violation",
-                    rule = violation.rule,
-                    detail = violation.message.clone(),
-                );
-            }
-            self.health.degrade(&violations[0].message);
-        }
+    /// Runs `rules` against every shard's own store (one per shard, in
+    /// shard order), so each violation message begins with the shard it
+    /// names (`shard 3: …`). Violations are reported exactly as in
+    /// [`Watchdog::evaluate`], but a clean pass never *clears* the health
+    /// state: call `evaluate` first each tick (it clears on a clean fleet
+    /// pass) and this afterwards. Shards with too few samples to span a
+    /// window pass vacuously.
+    pub fn evaluate_shards(&self, shards: &[TimeSeriesStore], rules: &[SloRule]) -> Vec<Violation> {
+        let violations: Vec<Violation> = shards
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, store)| {
+                check_rules(rules, store).map(move |violation| Violation {
+                    message: format!("shard {shard}: {}", violation.message),
+                    ..violation
+                })
+            })
+            .collect();
+        self.report(&violations);
         violations
     }
+
+    /// Counts each violation in `dds_watchdog_violations_total`, fires its
+    /// `Warn` event and degrades the health state with the first message.
+    fn report(&self, violations: &[Violation]) {
+        let Some(first) = violations.first() else { return };
+        let registry = crate::metrics::global();
+        for violation in violations {
+            registry.counter("dds_watchdog_violations_total").inc();
+            crate::event!(
+                crate::Level::Warn,
+                "watchdog.slo_violation",
+                rule = violation.rule,
+                detail = violation.message.clone(),
+            );
+        }
+        self.health.degrade(&first.message);
+    }
+}
+
+/// The violations `rules` find in `store`, in rule order.
+fn check_rules<'a>(
+    rules: &'a [SloRule],
+    store: &'a TimeSeriesStore,
+) -> impl Iterator<Item = Violation> + 'a {
+    rules.iter().filter_map(|rule| {
+        rule.check(store).map(|message| Violation { rule: rule.name(), message })
+    })
 }
 
 #[cfg(test)]
@@ -708,46 +671,44 @@ mod tests {
 
     #[test]
     fn shard_evaluation_names_the_offending_shard() {
-        use crate::metrics::Histogram;
-        use crate::timeseries::{ShardSample, ShardSeriesStore};
-
         let watchdog = Watchdog::new(Vec::new());
-        let slo = ShardSlo::standard();
-        let series = ShardSeriesStore::new(3, 8);
-        // Seed every shard at t=0 with an empty sample.
-        for shard in 0..3 {
-            series.push(shard, Duration::from_secs(0), ShardSample::default());
+        // One store per shard, seeded at t=0 with an empty snapshot.
+        let shards: Vec<TimeSeriesStore> = (0..3).map(|_| TimeSeriesStore::new(8)).collect();
+        for store in &shards {
+            store.push(Duration::from_secs(0), Registry::new().snapshot());
         }
         // Shard 0 and 2 are healthy; shard 1 is wedged (slow batches,
         // heavy quarantine).
-        let mut healthy = ShardSample { accepted: 1_000, batches: 4, ..ShardSample::default() };
-        healthy.batch_buckets[Histogram::bucket_index(1e-3)] = 4;
-        let mut wedged =
-            ShardSample { accepted: 100, quarantined: 900, batches: 4, ..ShardSample::default() };
-        wedged.batch_buckets[Histogram::bucket_index(20.0)] = 4;
-        series.push(0, Duration::from_secs(10), healthy);
-        series.push(1, Duration::from_secs(10), wedged);
-        series.push(2, Duration::from_secs(10), healthy);
+        let shard_view = |accepted: u64, quarantined: u64, batch_seconds: f64| {
+            let registry = Registry::new();
+            registry.counter("dds_monitor_records_ingested_total").add(accepted);
+            registry.counter("dds_records_quarantined_total").add(quarantined);
+            for _ in 0..4 {
+                registry.histogram("dds_ingest_batch_seconds").observe(batch_seconds);
+            }
+            registry.snapshot()
+        };
+        shards[0].push(Duration::from_secs(10), shard_view(1_000, 0, 1e-3));
+        shards[1].push(Duration::from_secs(10), shard_view(100, 900, 20.0));
+        shards[2].push(Duration::from_secs(10), shard_view(1_000, 0, 1e-3));
 
-        let violations = watchdog.evaluate_shards(&series, &slo);
+        let violations = watchdog.evaluate_shards(&shards, &Watchdog::shard_rules());
         assert_eq!(violations.len(), 2, "{violations:?}");
-        assert!(violations.iter().all(|v| v.message.contains("shard 1")), "{violations:?}");
-        assert_eq!(violations[0].rule, "shard_latency_ceiling");
-        assert_eq!(violations[1].rule, "shard_quarantine_budget");
+        assert!(violations.iter().all(|v| v.message.starts_with("shard 1: ")), "{violations:?}");
+        assert_eq!(violations[0].rule, "latency_ceiling");
+        assert_eq!(violations[1].rule, "quarantine_budget");
         assert!(watchdog.health().is_degraded());
-        assert!(watchdog.health().degraded_reason().unwrap().contains("shard 1"));
+        assert!(watchdog.health().degraded_reason().unwrap().starts_with("shard 1"));
     }
 
     #[test]
     fn shard_evaluation_is_degrade_only() {
-        use crate::timeseries::ShardSeriesStore;
-
         let watchdog = Watchdog::new(Vec::new());
         watchdog.health().degrade("pre-existing fleet violation");
-        // An empty shard store passes vacuously — but must NOT clear a
+        // Empty shard stores pass vacuously — but must NOT clear a
         // degradation set by the fleet-level pass.
-        let series = ShardSeriesStore::new(2, 4);
-        assert!(watchdog.evaluate_shards(&series, &ShardSlo::standard()).is_empty());
+        let shards = [TimeSeriesStore::new(4), TimeSeriesStore::new(4)];
+        assert!(watchdog.evaluate_shards(&shards, &Watchdog::shard_rules()).is_empty());
         assert!(watchdog.health().is_degraded());
     }
 

@@ -211,3 +211,52 @@ fn shadow_scoring_never_inflates_the_serving_metrics() {
         "published batches"
     );
 }
+
+#[test]
+fn shadow_scored_batches_leave_every_global_counter_unchanged() {
+    let _guard = drift_lock();
+    let registry = dds_obs::metrics::global();
+
+    let training = FleetSimulator::new(FleetConfig::test_scale().with_seed(42_001)).run();
+    let (_, model) = Analysis::new(AnalysisConfig::default())
+        .train(&training, &TrainingContext::default())
+        .expect("serving analysis");
+    let bundle = ModelBundle::from_trained(&model).expect("serving bundle");
+
+    // Messy telemetry: every 10th record arrives twice (the copy is
+    // quarantined as a duplicate) and every 7th lacks an attribute (the
+    // gate imputes it).
+    let live = FleetSimulator::new(FleetConfig::test_scale().with_seed(42_002)).run();
+    let mut batch = Vec::new();
+    for (i, (drive, mut record)) in hour_ordered(&live).into_iter().take(5_000).enumerate() {
+        if i % 7 == 3 {
+            record.values[0] = f64::NAN;
+        }
+        batch.push((drive, record.clone()));
+        if i % 10 == 9 {
+            batch.push((drive, record));
+        }
+    }
+    let mut serving = FleetMonitor::new(bundle.clone(), MonitorConfig::default());
+    let alerts: Vec<Alert> = batch.iter().flat_map(|(d, r)| serving.ingest(*d, r)).collect();
+    let quality = serving.quality_stats();
+    assert!(quality.quarantined >= 500, "every duplicated copy is quarantined");
+    assert!(quality.imputed_attrs > 0, "the gate must have imputed something");
+
+    // The candidate judges the same records: none of its verdicts (and
+    // none of its alerts) may reach the totals the watchdog budgets read.
+    // `dds_regtree_predictions_total` is the one exception: it meters the
+    // tree evaluations the process performs, and the candidate's trees do
+    // run. No SLO reads it.
+    let mut shadow = ShadowScorer::new(bundle, MonitorConfig::default());
+    let counters = |snapshot: &dds_obs::metrics::MetricsSnapshot| {
+        let mut counters = snapshot.counters.clone();
+        counters.remove("dds_regtree_predictions_total");
+        counters
+    };
+    let before = registry.snapshot();
+    shadow.score_batch(&batch, &alerts);
+    let after = registry.snapshot();
+    assert_eq!(counters(&after), counters(&before), "shadow scoring wrote a global counter");
+    assert_eq!(after.histograms, before.histograms, "shadow scoring wrote a global histogram");
+}
